@@ -1,13 +1,14 @@
-"""Inference fast path — workspace-reuse execution vs. the reference path.
+"""Inference — compiled plans vs. the reference path, serial vs. workers.
 
-Measures what PR 4 changed: single-image latency and batched throughput
-for every deployable model (CNN, RNN, the three privacy dCNNs, and the
-full ensemble), comparing the workspace-reuse fast path against the
-reference forward (``repro.nn.reference_mode``, which runs the exact
-training-style forward with backward caches).  A second section replays
-concurrent drives through the serving stack with ``--workers 0``
-(in-process) vs. ``--workers 4`` (persistent shared-memory workers) to
-measure the parallel executor.
+Measures single-image latency and batched throughput for every
+deployable model (CNN, RNN, the three privacy dCNNs, and the full
+ensemble), comparing the compiled plans (``numpy-compiled``, the one
+serving inference path) against the ``reference`` backend, which runs
+the plain training-style layer forward with backward caches.  A second
+section replays concurrent drives through the serving stack with
+``--workers 0`` (in-process) vs. persistent shared-memory workers sized
+from the host's CPU count (cores minus one, at least one — the
+executor's own default) to measure the parallel executor.
 
 Runs two ways:
 
@@ -17,12 +18,13 @@ Runs two ways:
       PYTHONPATH=src python benchmarks/bench_inference.py --quick
 
   which writes ``BENCH_inference.json`` and exits non-zero if a gate
-  fails.  Gates: the ensemble fast path must clear ``ENSEMBLE_FLOOR``
-  (2x) at batch 32 — 1.2x in ``--quick`` smoke mode — and the 4-worker
-  replay must clear ``PARALLEL_FLOOR`` (1.5x) *when the host has at
-  least two cores*; on a single-core host that gate is recorded as a
-  structured skip (``{"skipped": true, "reason": ..., "cpu_count": N}``)
-  with the numbers still measured and written honestly.
+  fails.  Gates: the compiled ensemble must clear ``ENSEMBLE_FLOOR``
+  (2x) over the reference at batch 32 — 1.2x in ``--quick`` smoke mode
+  — and the worker replay must clear ``PARALLEL_FLOOR`` (1.5x) *when
+  the host has at least two cores*; on a single-core host that gate is
+  recorded as a structured skip (``{"skipped": true, "reason": ...,
+  "cpu_count": N}``) with the numbers still measured and written
+  honestly.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 ENSEMBLE_FLOOR = 2.0
 SMOKE_FLOOR = 1.2
 PARALLEL_FLOOR = 1.5
-PARALLEL_WORKERS = 4
 
 #: Max fractional throughput loss the observability layer may cost.
 METRICS_OVERHEAD_LIMIT = 0.05
@@ -90,14 +91,23 @@ def _best_seconds(fn, *, repeats: int = 3) -> float:
     return best
 
 
-def _fast_vs_reference(fn, *, repeats: int = 3) -> tuple[float, float]:
-    """(fast_seconds, reference_seconds) for one forward callable."""
-    from repro.nn import reference_mode
+def _compiled_vs_reference(fn, *, repeats: int = 3) -> tuple[float, float]:
+    """(compiled_seconds, reference_seconds) for one forward callable."""
+    from repro.nn import using_backend
 
-    fast = _best_seconds(fn, repeats=repeats)
-    with reference_mode():
+    with using_backend("numpy-compiled"):
+        compiled = _best_seconds(fn, repeats=repeats)
+    with using_backend("reference"):
         reference = _best_seconds(fn, repeats=repeats)
-    return fast, reference
+    return compiled, reference
+
+
+def parallel_workers() -> int:
+    """Worker count for the parallel gate: the executor's own default
+    (one core left for the dispatching parent), at least one."""
+    from repro.serving.executor import default_worker_count
+
+    return max(1, default_worker_count())
 
 
 def run_model_benchmarks(*, batch: int = BATCH, repeats: int = 3) -> dict:
@@ -121,13 +131,13 @@ def run_model_benchmarks(*, batch: int = BATCH, repeats: int = 3) -> dict:
     }
     rows = {}
     for name, fn in forwards.items():
-        fast, reference = _fast_vs_reference(fn, repeats=repeats)
+        compiled, reference = _compiled_vs_reference(fn, repeats=repeats)
         row = {
             "batch": batch,
-            "fast_s": round(fast, 5),
+            "compiled_s": round(compiled, 5),
             "reference_s": round(reference, 5),
-            "speedup": round(reference / fast, 2),
-            "throughput_ips": round(batch / fast, 1),
+            "speedup": round(reference / compiled, 2),
+            "throughput_ips": round(batch / compiled, 1),
         }
         if name in single:
             row["latency_ms"] = round(
@@ -137,11 +147,13 @@ def run_model_benchmarks(*, batch: int = BATCH, repeats: int = 3) -> dict:
 
 
 def run_parallel_benchmark(*, drivers: int = 16, duration: float = 4.0,
-                           workers: int = PARALLEL_WORKERS,
+                           workers: int | None = None,
                            seed: int = 5) -> dict:
     """Serving replay throughput, in-process vs. persistent workers."""
     from repro.serving import replay_concurrent_drives
 
+    if workers is None:
+        workers = parallel_workers()
     ensemble, _, _ = inference_models()
     serial = replay_concurrent_drives(
         ensemble, drivers=drivers, duration=duration, seed=seed, workers=0)
@@ -210,7 +222,7 @@ def run_all(*, quick: bool = False) -> dict:
         repeats=6)
     ensemble_floor = SMOKE_FLOOR if quick else ENSEMBLE_FLOOR
     gates = {
-        "ensemble_fast_path": {
+        "ensemble_compiled": {
             "floor": ensemble_floor,
             "value": models["ensemble"]["speedup"],
             "passed": models["ensemble"]["speedup"] >= ensemble_floor,
@@ -261,16 +273,17 @@ def run_all(*, quick: bool = False) -> dict:
 def format_report(report: dict) -> str:
     """Text form of the JSON report."""
     lines = [
-        f"Inference fast path — batch {report['batch']}, "
+        f"Inference, compiled vs reference — batch {report['batch']}, "
         f"{report['cpu_count']} cpu(s)",
-        f"  {'model':<10} {'fast':>9} {'reference':>10} {'speedup':>8} "
+        f"  {'model':<10} {'compiled':>9} {'reference':>10} {'speedup':>8} "
         f"{'im/s':>8} {'lat(b1)':>9}",
     ]
     for name, row in report["models"].items():
         latency = (f"{row['latency_ms']:7.2f}ms" if "latency_ms" in row
                    else f"{'—':>9}")
         lines.append(
-            f"  {name:<10} {row['fast_s']:>8.4f}s {row['reference_s']:>9.4f}s "
+            f"  {name:<10} {row['compiled_s']:>8.4f}s "
+            f"{row['reference_s']:>9.4f}s "
             f"{row['speedup']:>7.2f}x {row['throughput_ips']:>8.1f} {latency}")
     par = report["parallel_replay"]
     lines.append(
@@ -300,14 +313,14 @@ def gates_pass(report: dict) -> bool:
 
 # -- pytest entry points -----------------------------------------------------
 
-def test_inference_fast_path_speedup(benchmark):
-    """The ensemble fast path clears its floor at batch 32."""
+def test_inference_compiled_speedup(benchmark):
+    """The compiled ensemble clears its floor at batch 32."""
     from benchmarks.conftest import write_report
 
     report = benchmark.pedantic(lambda: run_all(quick=True),
                                 rounds=1, iterations=1)
     write_report("inference", format_report(report))
-    assert report["gates"]["ensemble_fast_path"]["passed"]
+    assert report["gates"]["ensemble_compiled"]["passed"]
 
 
 def test_metrics_overhead_within_limit(benchmark):
@@ -320,7 +333,7 @@ def test_metrics_overhead_within_limit(benchmark):
 
 
 def test_parallel_replay_not_slower_than_floor(benchmark):
-    """4-worker replay clears its floor wherever the host has the cores."""
+    """Worker replay clears its floor wherever the host has the cores."""
     report = benchmark.pedantic(
         lambda: run_parallel_benchmark(drivers=8, duration=2.0),
         rounds=1, iterations=1)
@@ -348,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     print(format_report(report))
     print(f"\n[json report written to {args.out}]")
     if not gates_pass(report):
-        print("FAIL: an inference fast-path gate fell below its floor")
+        print("FAIL: an inference gate fell below its floor")
         return 1
     return 0
 

@@ -459,6 +459,8 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from repro.nn.compile.backends import DEFAULT_BACKEND, backend_names
+
     parser = argparse.ArgumentParser(
         prog="repro", description="DarNet reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -571,11 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "batches over shared-memory rings (0 runs "
                             "in-process; any N delivers the identical "
                             "verdict sequence)")
-    serve.add_argument("--backend", default="numpy-fast",
-                       help="inference backend: numpy-fast (interpreted), "
-                            "numpy-compiled (fused execution plans, "
-                            "bit-exact), or numpy-compiled-int8 "
-                            "(quantized weights, lossy)")
+    serve.add_argument("--backend", default=DEFAULT_BACKEND,
+                       choices=backend_names(),
+                       help="inference backend: numpy-compiled (fused "
+                            "execution plans, the default), "
+                            "numpy-compiled-int8 (quantized weights, "
+                            "lossy), or reference (the plain layer "
+                            "forward, the parity oracle)")
     serve.add_argument("--train-samples", type=int, default=120)
     serve.add_argument("--train-epochs", type=int, default=1)
     serve.add_argument("--seed", type=int, default=0)

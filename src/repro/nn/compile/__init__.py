@@ -5,10 +5,11 @@ quantization contract.
 """
 
 from repro.nn.compile.backends import (
+    DEFAULT_BACKEND,
     InferenceBackend,
     NumpyCompiledBackend,
     NumpyCompiledInt8Backend,
-    NumpyFastBackend,
+    ReferenceBackend,
     active_backend,
     active_backend_name,
     backend_names,
@@ -22,12 +23,13 @@ from repro.nn.compile.plan import CompiledNetwork, UnsupportedLayerError
 from repro.nn.compile.quantize import PlanWeight
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "CompiledNetwork",
     "InferenceBackend",
     "NumpyCompiledBackend",
     "NumpyCompiledInt8Backend",
-    "NumpyFastBackend",
     "PlanWeight",
+    "ReferenceBackend",
     "UnsupportedLayerError",
     "active_backend",
     "active_backend_name",

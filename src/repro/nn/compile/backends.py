@@ -2,24 +2,26 @@
 
 A backend decides *how* eval-mode batched inference executes:
 
-``numpy-fast``
-    The interpreted workspace-reuse fast path (the previous default) —
-    layer-by-layer dispatch with scratch-buffer reuse.
-``numpy-compiled``
+``numpy-compiled`` (the default)
     Graph-compiled execution plans (:mod:`repro.nn.compile.extract`):
-    fused epilogues, preplanned arena offsets, stacked LSTM GEMMs.
-    Bitwise identical to ``numpy-fast`` for float32 models; falls back
-    to it per model when a layer has no compiled lowering.
+    fused epilogues, one preplanned capacity arena per plan, stacked
+    recurrent GEMMs.  Every shipped model lowers completely; a model
+    with a layer that has no lowering runs the reference forward.
 ``numpy-compiled-int8``
     Compiled plans with int8-at-rest GEMM weights — lossy by contract,
     gated on verdict-class agreement (the dCNN privacy ladder already
     trades fidelity for bandwidth, so this extends the same contract).
+``reference``
+    The plain layer-by-layer forward — the training path run in eval
+    mode.  It is the parity oracle compiled plans are tested against
+    and the fallback for uncompilable models; it never compiles.
 
-The *active* backend is thread-local with a process-wide default, the
-same discipline as :func:`repro.nn.runtime.mode.reference_mode`: serving
-threads route different models through different backends concurrently
-without fighting over a global.  New backends (a future
-``blas-threaded``) register through :func:`register_backend`.
+The *active* backend is thread-local with a process-wide default:
+serving threads route different models through different backends
+concurrently without fighting over a global, and a test or benchmark
+thread inside ``using_backend("reference")`` never drops concurrent
+serving threads onto the oracle.  New backends register through
+:func:`register_backend`.
 """
 
 from __future__ import annotations
@@ -37,28 +39,26 @@ class InferenceBackend:
 
     #: Registry key and the ``--backend`` CLI value.
     name = "backend"
-    #: Whether models should ask this backend for execution plans.
-    compiles = False
     #: Whether compiled plans quantize GEMM weights to int8.
     quantize = False
 
     def compile_model(self, network, input_shape
                       ) -> CompiledNetwork | None:
-        """A compiled plan for ``network``, or None to use the fast path."""
+        """A compiled plan for ``network``, or None to run the reference
+        forward."""
         return None
 
 
-class NumpyFastBackend(InferenceBackend):
-    """The interpreted workspace-reuse fast path."""
+class ReferenceBackend(InferenceBackend):
+    """The plain layer forward: parity oracle and fallback."""
 
-    name = "numpy-fast"
+    name = "reference"
 
 
 class NumpyCompiledBackend(InferenceBackend):
     """Graph-compiled float32 execution plans."""
 
     name = "numpy-compiled"
-    compiles = True
 
     def compile_model(self, network, input_shape
                       ) -> CompiledNetwork | None:
@@ -66,7 +66,7 @@ class NumpyCompiledBackend(InferenceBackend):
             return compile_network(network, input_shape,
                                    quantize=self.quantize)
         except UnsupportedLayerError:
-            # Uncompilable models degrade to the interpreted fast path;
+            # Uncompilable models fall back to the reference forward;
             # the caller caches the miss so this runs once per shape.
             return None
 
@@ -102,11 +102,13 @@ def backend_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-register_backend(NumpyFastBackend())
+register_backend(ReferenceBackend())
 register_backend(NumpyCompiledBackend())
 register_backend(NumpyCompiledInt8Backend())
 
-_DEFAULT = "numpy-fast"
+#: The one serving inference path.
+DEFAULT_BACKEND = "numpy-compiled"
+_DEFAULT = DEFAULT_BACKEND
 _LOCAL = threading.local()
 
 

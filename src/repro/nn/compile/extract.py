@@ -15,7 +15,7 @@
   aliases, never ops.
 
 Layers without a lowering raise :class:`UnsupportedLayerError`; backends
-treat that as "this model stays on the interpreted fast path".
+treat that as "this model runs the reference forward".
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.nn.layers.merge import ParallelBranches
 from repro.nn.layers.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
 from repro.nn.layers.sequential import Sequential
 from repro.nn.recurrent.bidirectional import BidirectionalLSTM
+from repro.nn.recurrent.bigru import BidirectionalGRU
 
 #: (concat slot ref, channel range) a branch-final op should write into.
 Dest = tuple[SlotRef, int, int]
@@ -90,7 +91,7 @@ def infer_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         out = list(shapes[0])
         out[axis] = total
         return tuple(out)
-    if isinstance(layer, BidirectionalLSTM):
+    if isinstance(layer, (BidirectionalLSTM, BidirectionalGRU)):
         two_h = 2 * layer.hidden_size
         if layer.return_sequences:
             return (in_shape[0], two_h)
@@ -138,9 +139,9 @@ class _Extractor:
                 return self._with_copy_fallback(
                     self._lower_view, layer, in_ref, in_shape, dest)
             return self._lower_view(layer, in_ref, in_shape)
-        if isinstance(layer, BidirectionalLSTM):
+        if isinstance(layer, (BidirectionalLSTM, BidirectionalGRU)):
             return self._with_copy_fallback(
-                self._lower_bilstm, layer, in_ref, in_shape, dest)
+                self._lower_birnn, layer, in_ref, in_shape, dest)
         raise _unsupported(layer)
 
     def _with_copy_fallback(self, fn, layer, in_ref, in_shape,
@@ -348,29 +349,35 @@ class _Extractor:
             layer=relu.name, in_ref=in_ref, out_ref=out_ref))
         return out_ref, in_shape
 
-    def _lower_bilstm(self, bilstm: BidirectionalLSTM, in_ref, in_shape):
+    def _lower_birnn(self, layer, in_ref, in_shape):
+        """A bidirectional LSTM or GRU as one stacked recurrence op."""
+        if isinstance(layer, BidirectionalLSTM):
+            op_cls, cells = ops.BiLstmOp, (layer.forward_lstm,
+                                           layer.backward_lstm)
+        else:
+            op_cls, cells = ops.BiGruOp, (layer.forward_gru,
+                                          layer.backward_gru)
         if len(in_shape) != 2:
             raise UnsupportedLayerError(
-                f"{bilstm.name}: expected (time, features) input, "
+                f"{layer.name}: expected (time, features) input, "
                 f"got {in_shape}")
         t, f = in_shape
-        if f != bilstm.forward_lstm.input_size:
+        if f != cells[0].input_size:
             raise UnsupportedLayerError(
-                f"{bilstm.name}: expected {bilstm.forward_lstm.input_size} "
+                f"{layer.name}: expected {cells[0].input_size} "
                 f"features, got {f}")
-        h = bilstm.hidden_size
-        w_x_cat, w_h_stack, bias_cat = bilstm.stacked_weights()
-        out_shape = (t, 2 * h) if bilstm.return_sequences else (2 * h,)
-        proj_ref = self.builder.new_slot((t, 8 * h))
+        h = layer.hidden_size
+        w_x_cat, bias_cat, recurrent = layer.stacked_weights()
+        out_shape = (t, 2 * h) if layer.return_sequences else (2 * h,)
+        proj_ref = self.builder.new_slot((t, 2 * op_cls.width * h))
         out_ref = self.builder.new_slot(out_shape)
-        self.builder.emit(ops.BiLstmOp(
-            layer=bilstm.name,
-            fused=(bilstm.name, bilstm.forward_lstm.name,
-                   bilstm.backward_lstm.name),
-            w_x_cat=w_x_cat, w_h_stack=w_h_stack, bias_cat=bias_cat,
-            hidden=h, steps=t, features=f,
-            return_sequences=bilstm.return_sequences,
-            in_ref=in_ref, proj_ref=proj_ref, out_ref=out_ref))
+        self.builder.emit(op_cls(
+            layer=layer.name,
+            fused=(layer.name,) + tuple(cell.name for cell in cells),
+            w_x_cat=w_x_cat, bias_cat=bias_cat, hidden=h, steps=t,
+            features=f, return_sequences=layer.return_sequences,
+            in_ref=in_ref, proj_ref=proj_ref, out_ref=out_ref,
+            **recurrent))
         return out_ref, out_shape
 
 

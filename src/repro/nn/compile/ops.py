@@ -1,14 +1,15 @@
 """Fused op implementations for compiled execution plans.
 
-Every op here mirrors the arithmetic of the interpreted fast path
-*exactly* — same GEMM shapes or bit-stable restructurings (column-
-concatenated kernels, batched 3-D matmuls, strided output views), same
-elementwise expression order — so a float32 plan's outputs are bitwise
-identical to the layer-by-layer fast path.  What changes is everything
-around the arithmetic: outputs land in preplanned arena views instead of
-fresh allocations, batch-norm + ReLU run as an in-place epilogue on the
-GEMM output instead of two extra array passes, and per-step LSTM views
-are presliced at bind time instead of per call.
+The float32 arithmetic of every op is pinned: the golden replay
+fixtures and the benchmark's verdict digests were recorded from it, so
+a change to a GEMM shape, an operand order or an elementwise expression
+is a behaviour change, not a refactor.  Against the reference layer
+forward, plans agree to float32 rounding (atol 1e-5).  What differs
+from the reference is everything around the arithmetic: outputs land
+in preplanned arena views instead of fresh allocations, batch-norm +
+ReLU run as an in-place epilogue on the GEMM output instead of two
+extra array passes, and per-step recurrent views are presliced at bind
+time instead of per call.
 """
 
 from __future__ import annotations
@@ -458,30 +459,35 @@ class CopyOp(PlanOp):
         return run
 
 
-class BiLstmOp(PlanOp):
-    """Bidirectional LSTM as one stacked-GEMM recurrence.
+class _BiRecurrentOp(PlanOp):
+    """A bidirectional recurrence as one stacked-GEMM plan op.
 
-    Both directions' input projections run as a single ``(n*t, 2*4h)``
-    GEMM against the column-concatenated kernels, and each timestep's
-    gate matmul runs both directions at once as a ``(2, n, h) @
-    (2, h, 4h)`` batched matmul.  The elementwise gate math follows the
-    interpreted fast path expression for expression (one sigmoid pass
-    over the whole gate block, tanh overwriting the cell-gate columns),
-    so float32 results are bitwise identical while the Python-level step
-    loop runs once instead of twice.
+    Both directions' input projections run as a single ``(n*t, 2*g)``
+    GEMM against the column-concatenated kernels (``g`` is one
+    direction's projection width), and each timestep runs both
+    directions' recurrent matmuls at once as a ``(2, n, h) @ (2, h, .)``
+    batched matmul, so the Python-level step loop runs once instead of
+    twice.  Forward reads projection step ``s``, backward reads step
+    ``t-1-s`` (its input runs reversed in the layer forward); with
+    ``return_sequences`` the backward hidden for input index ``t-1-s``
+    is written straight to that index, which is exactly the layer's
+    collect-then-re-reverse result.  Subclasses supply the cell.
     """
 
-    kind = "bilstm"
+    #: One direction's projection width, in multiples of ``hidden``.
+    width = 1
 
     def __init__(self, *, layer: str, fused: tuple[str, ...],
-                 w_x_cat: np.ndarray, w_h_stack: np.ndarray,
-                 bias_cat: np.ndarray, hidden: int, steps: int,
-                 features: int, return_sequences: bool, in_ref: SlotRef,
-                 proj_ref: SlotRef, out_ref: SlotRef) -> None:
+                 w_x_cat: np.ndarray, bias_cat: np.ndarray, hidden: int,
+                 steps: int, features: int, return_sequences: bool,
+                 in_ref: SlotRef, proj_ref: SlotRef, out_ref: SlotRef,
+                 **recurrent: np.ndarray) -> None:
         super().__init__(layer=layer, fused=fused)
         self.w_x_cat = np.ascontiguousarray(w_x_cat, dtype=np.float32)
-        self.w_h_stack = np.ascontiguousarray(w_h_stack, dtype=np.float32)
         self.bias_cat = np.ascontiguousarray(bias_cat, dtype=np.float32)
+        #: Recurrent kernels, each stacked ``(2, h, .)`` over directions.
+        self.recurrent = {name: np.ascontiguousarray(w, dtype=np.float32)
+                          for name, w in recurrent.items()}
         self.hidden, self.steps, self.features = hidden, steps, features
         self.return_sequences = bool(return_sequences)
         self.in_ref, self.proj_ref, self.out_ref = in_ref, proj_ref, out_ref
@@ -489,26 +495,58 @@ class BiLstmOp(PlanOp):
     def slot_refs(self) -> list[SlotRef]:
         return [self.in_ref, self.proj_ref, self.out_ref]
 
+    def _bind_cell(self, n: int, p_fwd: list, p_bwd: list,
+                   o_fwd: list | None, o_bwd: list | None):
+        """``(h_state, recur)``: the ``(2, n, h)`` hidden state and a
+        closure running every timestep from a zero state, writing each
+        step's hidden into ``o_fwd``/``o_bwd`` when they are given."""
+        raise NotImplementedError
+
     def bind(self, rt: BindContext):
         n = rt.n
         h, t, f = self.hidden, self.steps, self.features
-        four_h = 4 * h
-        proj2 = rt.view(SlotRef(self.proj_ref.slot, (t * 2 * four_h,))
-                        ).reshape(n * t, 2 * four_h)
-        proj3 = proj2.reshape(n, t, 2 * four_h)
+        g = self.width * h
+        proj2 = rt.view(SlotRef(self.proj_ref.slot, (t * 2 * g,))
+                        ).reshape(n * t, 2 * g)
+        proj3 = proj2.reshape(n, t, 2 * g)
         get_in = rt.reader(self.in_ref)
-        w_x, w_h, bias = self.w_x_cat, self.w_h_stack, self.bias_cat
-        # Per-step projection/output views, presliced once.  Forward reads
-        # step s, backward reads step t-1-s (its input arrives reversed in
-        # the interpreted path); with return_sequences the backward hidden
-        # for input index t-1-s is written straight to that index, which
-        # is exactly the interpreter's collect-then-re-reverse result.
-        p_fwd = [proj3[:, s, :four_h] for s in range(t)]
-        p_bwd = [proj3[:, t - 1 - s, four_h:] for s in range(t)]
+        w_x, bias = self.w_x_cat, self.bias_cat
+        # Per-step projection/output views, presliced once.
+        p_fwd = [proj3[:, s, :g] for s in range(t)]
+        p_bwd = [proj3[:, t - 1 - s, g:] for s in range(t)]
         out = rt.view(self.out_ref)
+        o_fwd = o_bwd = None
         if self.return_sequences:
             o_fwd = [out[:, s, :h] for s in range(t)]
             o_bwd = [out[:, t - 1 - s, h:] for s in range(t)]
+        h_st, recur = self._bind_cell(n, p_fwd, p_bwd, o_fwd, o_bwd)
+        return_sequences = self.return_sequences
+
+        def run() -> None:
+            x2 = get_in().reshape(n * t, f)
+            np.matmul(x2, w_x, out=proj2)
+            np.add(proj2, bias, out=proj2)
+            recur()
+            if not return_sequences:
+                out[:, :h] = h_st[0]
+                out[:, h:] = h_st[1]
+        return run
+
+
+class BiLstmOp(_BiRecurrentOp):
+    """Bidirectional LSTM; gate layout ``[i, f, g, o]`` per direction.
+
+    The elementwise gate math runs one sigmoid pass over the whole gate
+    block, then tanh overwrites the cell-gate columns.
+    """
+
+    kind = "bilstm"
+    width = 4
+
+    def _bind_cell(self, n, p_fwd, p_bwd, o_fwd, o_bwd):
+        h = self.hidden
+        four_h = 4 * h
+        w_h = self.recurrent["w_h_stack"]
         # Recurrent state and gate buffers: O(n*h), owned by the binding.
         h_st = np.empty((2, n, h), dtype=np.float32)
         c_st = np.empty((2, n, h), dtype=np.float32)
@@ -516,13 +554,10 @@ class BiLstmOp(PlanOp):
         sig = np.empty((2, n, four_h), dtype=np.float32)
         g_gate = np.empty((2, n, h), dtype=np.float32)
         tmp = np.empty((2, n, h), dtype=np.float32)
-        steps = range(t)
-        return_sequences = self.return_sequences
+        steps = range(self.steps)
+        return_sequences = o_fwd is not None
 
-        def run() -> None:
-            x2 = get_in().reshape(n * t, f)
-            np.matmul(x2, w_x, out=proj2)
-            np.add(proj2, bias, out=proj2)
+        def recur() -> None:
             h_st.fill(0.0)
             c_st.fill(0.0)
             for s in steps:
@@ -546,7 +581,60 @@ class BiLstmOp(PlanOp):
                 if return_sequences:
                     o_fwd[s][...] = h_st[0]
                     o_bwd[s][...] = h_st[1]
-            if not return_sequences:
-                out[:, :h] = h_st[0]
-                out[:, h:] = h_st[1]
-        return run
+        return h_st, recur
+
+
+class BiGruOp(_BiRecurrentOp):
+    """Bidirectional GRU; projection layout ``[z, r, c]`` per direction.
+
+    Follows :class:`~repro.nn.recurrent.gru.GRU` expression for
+    expression — ``h = (1 - z) * h + z * c`` with the candidate's
+    recurrent matmul over ``r * h`` — except that the sigmoid is the
+    direct ``1 / (1 + exp(-x))`` form rather than the layer's
+    sign-split one, which agrees to float32 rounding.
+    """
+
+    kind = "bigru"
+    width = 3
+
+    def _bind_cell(self, n, p_fwd, p_bwd, o_fwd, o_bwd):
+        h = self.hidden
+        u_gates = self.recurrent["u_gates_stack"]
+        u_cand = self.recurrent["u_cand_stack"]
+        pg_fwd = [p[:, :2 * h] for p in p_fwd]
+        pg_bwd = [p[:, :2 * h] for p in p_bwd]
+        pc_fwd = [p[:, 2 * h:] for p in p_fwd]
+        pc_bwd = [p[:, 2 * h:] for p in p_bwd]
+        h_st = np.empty((2, n, h), dtype=np.float32)
+        zr = np.empty((2, n, 2 * h), dtype=np.float32)
+        cand = np.empty((2, n, h), dtype=np.float32)
+        tmp = np.empty((2, n, h), dtype=np.float32)
+        z_gate, r_gate = zr[:, :, :h], zr[:, :, h:]
+        steps = range(self.steps)
+        return_sequences = o_fwd is not None
+
+        def recur() -> None:
+            h_st.fill(0.0)
+            for s in steps:
+                np.matmul(h_st, u_gates, out=zr)
+                zr[0] += pg_fwd[s]
+                zr[1] += pg_bwd[s]
+                np.negative(zr, out=zr)
+                np.exp(zr, out=zr)
+                np.add(zr, _ONE, out=zr)
+                np.divide(_ONE, zr, out=zr)
+                # c = tanh(x_c + (r * h) @ U_c)
+                np.multiply(r_gate, h_st, out=tmp)
+                np.matmul(tmp, u_cand, out=cand)
+                cand[0] += pc_fwd[s]
+                cand[1] += pc_bwd[s]
+                np.tanh(cand, out=cand)
+                # h = (1 - z) * h + z * c
+                np.subtract(_ONE, z_gate, out=tmp)
+                np.multiply(tmp, h_st, out=h_st)
+                np.multiply(z_gate, cand, out=cand)
+                np.add(h_st, cand, out=h_st)
+                if return_sequences:
+                    o_fwd[s][...] = h_st[0]
+                    o_bwd[s][...] = h_st[1]
+        return h_st, recur

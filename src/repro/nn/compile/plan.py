@@ -1,42 +1,49 @@
-"""Execution-plan IR: slots, arena layout, and the bound-plan executor.
+"""Execution-plan IR: slots, the capacity arena, and the bound-plan executor.
 
 A compiled network is a flat list of ops over *slots*.  A slot is one
 intermediate tensor with a fixed **per-sample** shape — the batch
 dimension stays symbolic until :meth:`CompiledNetwork._bind` pins it.
-Because every slot's size is linear in the batch, offsets are planned
-once in per-sample float32 elements and simply scale by ``n`` at bind
-time: two slots disjoint per sample are disjoint for every batch size.
+Offsets come from a liveness-driven first-fit allocator over per-sample
+float32 elements, so slots whose lifetimes do not overlap share arena
+memory, and steady state a plan run performs zero buffer lookups: every
+op holds its views.
 
-Offsets come from a liveness-driven first-fit allocator, so slots whose
-lifetimes do not overlap share arena memory (the compiled analogue of
-the interpreter's :class:`~repro.nn.runtime.workspace.Workspace`, minus
-the per-call ``(tag, shape, dtype)`` dict lookups — steady state, a plan
-run performs **zero** buffer lookups; every op holds its views).
+**One arena per plan.**  The arena is laid out for the largest batch
+seen so far, its *capacity* ``cap``: slot *s* owns the block range
+``[offset·cap, (offset + elements)·cap)``.  A binding for any ``n <=
+cap`` uses the leading ``n`` rows of every slot, so all batch sizes
+share one block, pinned (pre-zeroed) pad borders keep their addresses
+and stay zero, and two slots disjoint per sample stay disjoint for every
+``n``.  Only growth past ``cap`` allocates — and page-faults — a new
+block; it drops the old block and every binding made over it.
 
-Binding a batch size allocates one arena, slices every slot's view, and
-asks each op to close over its concrete arrays.  Bound plans are cached
-per batch size (bounded LRU), so serving traffic with a stable
-micro-batch size compiles and binds exactly once.
+Bindings (the per-batch-size op closures over arena views) are cached
+per batch size in a bounded LRU; rebinding costs view slicing only.
+
+The arena makes a plan single-flight: **one forward per plan at a
+time**.  Two concurrent runs would share scratch memory, the same rule
+the layer forward's backward caches impose.  Forked executor workers
+each own a copy-on-write arena.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import ReproError
 from repro.nn.runtime import profiling
 
-#: Bound plans kept per compiled network (distinct batch sizes seen).
+#: Bindings kept per compiled network (distinct batch sizes seen).
 BOUND_CACHE_SIZE = 8
 
 
 class UnsupportedLayerError(ReproError):
     """The graph compiler met a layer it has no lowering for.
 
-    Backends catch this and fall back to the interpreted fast path — an
+    Backends catch this and fall back to the reference forward — an
     uncompilable model must degrade, never crash serving.
     """
 
@@ -240,11 +247,10 @@ class BoundPlan:
     funcs: list
     layers: list[str]
     output_view: np.ndarray
-    arena: np.ndarray = field(repr=False, default=None)
 
 
 class CompiledNetwork:
-    """An immutable execution plan plus its per-batch-size bindings."""
+    """An immutable execution plan plus its capacity arena and bindings."""
 
     def __init__(self, *, label: str, ops: list[PlanOp], slots: list[Slot],
                  output: SlotRef, arena_per_sample: int) -> None:
@@ -254,7 +260,16 @@ class CompiledNetwork:
         self.output = output
         #: Arena size in float32 elements per batched sample.
         self.arena_per_sample = arena_per_sample
+        #: Batch rows the arena holds (0 until the first run).
+        self.capacity = 0
+        self.arena: np.ndarray | None = None
         self._bound: dict[int, BoundPlan] = {}
+        #: Arena blocks allocated so far (first run, then each growth).
+        self.arena_allocs = 0
+        # Flushed to the process registry by run() only when it moved,
+        # so steady state costs one compare; None until the compile
+        # itself is published.
+        self._published_allocs: int | None = None
 
     # -- introspection ---------------------------------------------------
     def describe(self) -> list[dict]:
@@ -266,40 +281,69 @@ class CompiledNetwork:
         """Sum of all live slots' sizes — the no-reuse arena baseline."""
         return sum(s.elements for s in self.slots[1:] if s.first_use >= 0)
 
-    # -- execution -------------------------------------------------------
+    # -- arena -----------------------------------------------------------
+    def _grow(self, n: int) -> None:
+        """Replace the arena with one laid out for ``n`` rows."""
+        self._bound.clear()
+        self.arena = np.empty(self.arena_per_sample * n, dtype=np.float32)
+        self.capacity = n
+        self.arena_allocs += 1
+        for slot in self.slots[1:]:
+            if slot.pinned and slot.first_use >= 0:
+                # Pad borders are never written; zeroed once per block.
+                lo = slot.offset * n
+                self.arena[lo:lo + slot.elements * n].fill(0.0)
+
     def _bind(self, n: int) -> BoundPlan:
-        arena = np.empty(self.arena_per_sample * n, dtype=np.float32)
+        cap = self.capacity
         views: list[np.ndarray | None] = [None]  # slot 0 = network input
         for slot in self.slots[1:]:
             if slot.first_use < 0:
                 views.append(None)
                 continue
-            lo = slot.offset * n
-            views.append(arena[lo:lo + slot.elements * n]
+            lo = slot.offset * cap
+            views.append(self.arena[lo:lo + slot.elements * n]
                          .reshape((n,) + slot.shape))
-            if slot.pinned:
-                views[-1].fill(0.0)
         holder = InputHolder()
         rt = BindContext(n, views, holder)
         funcs = [op.bind(rt) for op in self.ops]
         return BoundPlan(n=n, holder=holder, funcs=funcs,
                          layers=[op.layer for op in self.ops],
-                         output_view=rt.view(self.output), arena=arena)
+                         output_view=rt.view(self.output))
 
     def bound_for(self, n: int) -> BoundPlan:
-        bound = self._bound.get(n)
+        if n > self.capacity:
+            self._grow(n)
+        bound = self._bound.pop(n, None)
         if bound is None:
             bound = self._bind(n)
             if len(self._bound) >= BOUND_CACHE_SIZE:
                 # Evict the least recently used batch size.
                 self._bound.pop(next(iter(self._bound)))
-            self._bound[n] = bound
-        else:
-            # Refresh LRU order.
-            self._bound.pop(n)
-            self._bound[n] = bound
+        self._bound[n] = bound      # (re)insert as most recently used
         return bound
 
+    def publish_metrics(self) -> None:
+        """Flush this plan's compile and arena-allocation deltas to the
+        process registry.
+
+        These first-use events are what set the serving tail; a steady
+        state that still allocates shows up as a moving counter.
+        """
+        from repro.obs.metrics import get_registry
+
+        registry = get_registry()
+        if self._published_allocs is None:
+            registry.counter("nn_plan_compiles_total",
+                             "Execution plans compiled").inc()
+            self._published_allocs = 0
+        if self.arena_allocs > self._published_allocs:
+            registry.counter("nn_plan_arena_allocs_total",
+                             "Plan arena blocks allocated").inc(
+                                 self.arena_allocs - self._published_allocs)
+            self._published_allocs = self.arena_allocs
+
+    # -- execution -------------------------------------------------------
     def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the plan on one batch; returns a fresh output array."""
         bound = self.bound_for(x.shape[0])
@@ -317,3 +361,5 @@ class CompiledNetwork:
             return bound.output_view.copy()
         finally:
             bound.holder.value = None
+            if self._published_allocs != self.arena_allocs:
+                self.publish_metrics()

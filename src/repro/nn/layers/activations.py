@@ -29,9 +29,6 @@ class ReLU(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = as_float32(x)
-        if self._fast_inference():
-            self._mask = None
-            return np.maximum(x, np.float32(0.0))
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
@@ -51,9 +48,6 @@ class LeakyReLU(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = as_float32(x)
-        if self._fast_inference():
-            self._mask = None
-            return np.where(x > 0, x, np.float32(self.negative_slope) * x)
         self._mask = x > 0
         return np.where(self._mask, x, self.negative_slope * x)
 
@@ -78,7 +72,7 @@ class Sigmoid(Layer):
         out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
         exp_x = np.exp(x[~positive])
         out[~positive] = exp_x / (1.0 + exp_x)
-        self._out = None if self._fast_inference() else out
+        self._out = out
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -95,7 +89,7 @@ class Tanh(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.tanh(as_float32(x))
-        self._out = None if self._fast_inference() else out
+        self._out = out
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -117,7 +111,7 @@ class Softmax(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = softmax(as_float32(x), axis=-1)
-        self._out = None if self._fast_inference() else out
+        self._out = out
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

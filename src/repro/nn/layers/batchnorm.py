@@ -50,9 +50,9 @@ class BatchNorm(Layer):
     def eval_scale_shift(self) -> tuple[np.ndarray, np.ndarray]:
         """Eval-mode normalize+affine folded to per-channel scale/shift.
 
-        ``y = x * scale + shift`` with the running statistics baked in.
-        Shared by the fast-path forward and the graph compiler's fused
-        conv epilogue, so both compute bit-identical factors.
+        ``y = x * scale + shift`` with the running statistics baked in —
+        the graph compiler folds these into its fused conv epilogue and
+        standalone scale-shift op.
         """
         scale = self.gamma.value / np.sqrt(self.running_var + self.eps)
         shift = self.beta.value - self.running_mean * scale
@@ -66,14 +66,6 @@ class BatchNorm(Layer):
                 f"{self.name}: expected {self.num_features} channels, got {x.shape}"
             )
         shape = self._shape_for(x)
-        if self._fast_inference():
-            # Fused normalize + affine: one multiply-add over the batch
-            # instead of materializing x_hat.  The per-channel factors are
-            # tiny, so folding them costs nothing per call.
-            scale, shift = self.eval_scale_shift()
-            out = x * scale.reshape(shape)
-            out += shift.reshape(shape)
-            return out
         if self.training:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)

@@ -143,7 +143,7 @@ class Conv2D(Layer):
     def flat_weight(self) -> np.ndarray:
         """The kernel as a GEMM-ready ``(out_channels, c*kh*kw)`` matrix.
 
-        A reshape view of the live parameter — used by both forward paths
+        A reshape view of the live parameter — used by the forward pass
         and by the graph compiler's plan extraction.
         """
         return self.weight.value.reshape(self.out_channels, -1)
@@ -154,8 +154,6 @@ class Conv2D(Layer):
             raise ShapeError(
                 f"{self.name}: expected (n, {self.in_channels}, h, w), got {x.shape}"
             )
-        if self._fast_inference():
-            return self._forward_inference(x)
         cols, (oh, ow) = im2col(x, self.kernel_size, self.stride, self.padding)
         self._cols = cols
         self._x_shape = x.shape
@@ -166,54 +164,6 @@ class Conv2D(Layer):
             out = out + self.bias.value
         n = x.shape[0]
         return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Workspace-reuse forward: no backward caches, scratch im2col.
-
-        The 1x1/stride-1 case (half the convolutions in an Inception
-        block) skips im2col entirely — it is a plain channel-mixing GEMM
-        on the NCHW layout, and writing it that way also leaves the
-        output contiguous without a transpose copy.
-        """
-        n, c, h, w = x.shape
-        self._cols = None  # release any training-time column cache
-        kh, kw = self.kernel_size
-        sh, sw = self.stride
-        ph, pw = self.padding
-        flat_w = self.flat_weight()
-        if (kh, kw) == (1, 1) and (sh, sw) == (1, 1) and (ph, pw) == (0, 0):
-            out = np.empty((n, self.out_channels, h, w), dtype=np.float32)
-            np.matmul(flat_w, x.reshape(n, c, h * w),
-                      out=out.reshape(n, self.out_channels, h * w))
-            if self.bias is not None:
-                out += self.bias.value[:, None, None]
-            return out
-        oh = conv_output_size(h, kh, sh, ph)
-        ow = conv_output_size(w, kw, sw, pw)
-        if ph or pw:
-            src = self.scratch("pad", (n, c, h + 2 * ph, w + 2 * pw))
-            src.fill(0.0)
-            src[:, :, ph:ph + h, pw:pw + w] = x
-        else:
-            src = x
-        sn, sc, sh_b, sw_b = src.strides
-        view = np.lib.stride_tricks.as_strided(
-            src,
-            shape=(n, c, kh, kw, oh, ow),
-            strides=(sn, sc, sh_b, sw_b, sh_b * sh, sw_b * sw),
-            writeable=False,
-        )
-        # Column layout (n, c*kh*kw, oh*ow) instead of the training path's
-        # (n*oh*ow, c*kh*kw): the unfold copy is then source-ordered (no
-        # transpose), and the batched GEMM writes the NCHW output directly
-        # — roughly half the wall time of gemm-then-transpose.
-        cols = self.scratch("cols", (n, c * kh * kw, oh * ow))
-        cols.reshape(n, c, kh, kw, oh, ow)[...] = view
-        out = np.empty((n, self.out_channels, oh, ow), dtype=np.float32)
-        np.matmul(flat_w, cols, out=out.reshape(n, self.out_channels, oh * ow))
-        if self.bias is not None:
-            out += self.bias.value[:, None, None]
-        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         cols = self._require_cache(self._cols)

@@ -19,8 +19,6 @@ from repro.nn.layers.base import Layer
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import LearningRateSchedule, Optimizer
-from repro.nn.runtime.mode import fast_path_enabled
-from repro.nn.runtime.workspace import Workspace
 
 
 @dataclass
@@ -70,11 +68,11 @@ class NeuralNetwork:
         self.optimizer = optimizer_factory(list(network.parameters()))
         self.grad_clip = grad_clip
         self.history = TrainingHistory()
-        self.workspace = Workspace()
         self._fitted = False
         # Compiled execution plans, keyed by (backend name, input shape).
-        # A None value caches a compile miss (unsupported layer) so the
-        # walk runs once per shape, not once per batch.
+        # A None value caches a miss (the reference backend, or an
+        # unsupported layer) so the walk runs once per shape, not once
+        # per batch.
         self._plans: dict = {}
 
     # -- training -----------------------------------------------------------
@@ -172,43 +170,25 @@ class NeuralNetwork:
                            batch_size: int = 128) -> np.ndarray:
         """Run inference in memory-bounded batches, eval mode.
 
-        Eval-mode layers take the workspace fast path: scratch buffers are
-        reused across the chunks (every full chunk shares one arena entry;
-        a ragged tail gets its own), and no backward caches are built.
+        The active backend's compiled plan runs every chunk (full chunks
+        and a ragged tail share its one arena); the reference layer
+        forward runs instead under the ``reference`` backend or when the
+        model has a layer without a compiled lowering.
         """
         x = np.asarray(x, dtype=np.float32)
         self.network.set_training(False)
         plan = self._compiled_plan(x.shape[1:])
-        if plan is not None:
-            chunks = [
-                plan.run(np.ascontiguousarray(x[start:start + batch_size]))
-                for start in range(0, x.shape[0], batch_size)
-            ]
-        else:
-            self.network.set_workspace(self.workspace)
-            chunks = [
-                self.network.forward(x[start:start + batch_size])
-                for start in range(0, x.shape[0], batch_size)
-            ]
-            self.workspace.publish_metrics()
+        run = self.network.forward if plan is None else plan.run
+        chunks = [run(np.ascontiguousarray(x[start:start + batch_size]))
+                  for start in range(0, x.shape[0], batch_size)]
         if len(chunks) == 1:
             return chunks[0]
         return np.concatenate(chunks, axis=0)
 
     def _compiled_plan(self, input_shape: tuple[int, ...]):
-        """The active backend's plan for this input shape, if any.
-
-        Returns None when the active backend is the interpreted fast
-        path, when the fast path itself is disabled (reference mode needs
-        the literal layer-by-layer arithmetic), or when compilation found
-        an unsupported layer (the miss is cached per shape).
-        """
-        if not fast_path_enabled():
-            return None
+        """The active backend's plan for this input shape, or None."""
         from repro.nn.compile.backends import active_backend
         backend = active_backend()
-        if not backend.compiles:
-            return None
         key = (backend.name, tuple(input_shape))
         if key not in self._plans:
             self._plans[key] = backend.compile_model(self.network,

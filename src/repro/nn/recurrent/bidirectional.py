@@ -58,23 +58,22 @@ class BidirectionalLSTM(Layer):
         bwd = self.backward_lstm._forward(x)
         return np.concatenate([fwd, bwd], axis=-1)
 
-    def stacked_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def stacked_weights(self) -> tuple[np.ndarray, np.ndarray, dict]:
         """Both directions' kernels packed for one stacked-GEMM plan.
 
-        Returns ``(w_x_cat, w_h_stack, bias_cat)`` — the input kernels
-        column-concatenated to ``(input, 8h)`` so one GEMM covers both
-        directions' input projections, the recurrent kernels stacked to
-        ``(2, h, 4h)`` for a batched per-timestep gate matmul, and the
-        biases concatenated to ``(8h,)``.  Used by the graph compiler
-        (:mod:`repro.nn.compile`); arrays are copies (a weight snapshot).
+        Returns ``(w_x_cat, bias_cat, {"w_h_stack": ...})`` — the input
+        kernels column-concatenated to ``(input, 8h)`` so one GEMM covers
+        both directions' input projections, the biases concatenated to
+        ``(8h,)``, and the recurrent kernels stacked to ``(2, h, 4h)``
+        for a batched per-timestep gate matmul.  Used by the graph
+        compiler (:mod:`repro.nn.compile`); arrays are copies (a weight
+        snapshot).
         """
         fwd, bwd = self.forward_lstm, self.backward_lstm
         w_x_cat = np.concatenate([fwd.w_x.value, bwd.w_x.value], axis=1)
-        w_h_stack = np.ascontiguousarray(
-            np.stack([fwd.w_h.value, bwd.w_h.value], axis=0))
+        w_h_stack = np.stack([fwd.w_h.value, bwd.w_h.value], axis=0)
         bias_cat = np.concatenate([fwd.bias.value, bwd.bias.value])
-        return (np.ascontiguousarray(w_x_cat), w_h_stack,
-                np.ascontiguousarray(bias_cat))
+        return w_x_cat, bias_cat, {"w_h_stack": w_h_stack}
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad = as_float32(grad)

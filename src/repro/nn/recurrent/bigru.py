@@ -41,6 +41,28 @@ class BidirectionalGRU(Layer):
         bwd = self.backward_gru.forward(x)
         return np.concatenate([fwd, bwd], axis=-1)
 
+    def stacked_weights(self) -> tuple[np.ndarray, np.ndarray, dict]:
+        """Both directions' kernels packed for one stacked-GEMM plan.
+
+        Returns ``(w_x_cat, bias_cat, recurrent)``: each direction's
+        gate and candidate input kernels column-concatenated to
+        ``(input, 6h)`` in ``[z, r, c]`` order per direction, the
+        matching ``(6h,)`` bias, and the recurrent kernels stacked over
+        directions — ``u_gates_stack`` ``(2, h, 2h)`` and
+        ``u_cand_stack`` ``(2, h, h)``.  Copies (a weight snapshot).
+        """
+        fwd, bwd = self.forward_gru, self.backward_gru
+        w_x_cat = np.concatenate([fwd.w_gates.value, fwd.w_cand.value,
+                                  bwd.w_gates.value, bwd.w_cand.value],
+                                 axis=1)
+        bias_cat = np.concatenate([fwd.b_gates.value, fwd.b_cand.value,
+                                   bwd.b_gates.value, bwd.b_cand.value])
+        return w_x_cat, bias_cat, {
+            "u_gates_stack": np.stack([fwd.u_gates.value,
+                                       bwd.u_gates.value]),
+            "u_cand_stack": np.stack([fwd.u_cand.value, bwd.u_cand.value]),
+        }
+
     def backward(self, grad: np.ndarray) -> np.ndarray:
         grad = as_float32(grad)
         h = self.hidden_size

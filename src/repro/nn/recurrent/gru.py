@@ -74,8 +74,6 @@ class GRU(Layer):
             )
         if self.reverse:
             x = x[:, ::-1, :]
-        if self._fast_inference():
-            return self._forward_inference(x)
         n, t, _ = x.shape
         h = self.hidden_size
         x_gates = (x.reshape(n * t, -1) @ self.w_gates.value
@@ -106,45 +104,6 @@ class GRU(Layer):
                 out = out[:, ::-1, :]
             return np.ascontiguousarray(out)
         return hiddens[-1].copy()
-
-    def _forward_inference(self, x: np.ndarray) -> np.ndarray:
-        """Cache-free recurrence; ``x`` is already time-reversed.
-
-        Identical step math to the training loop (so the two paths agree
-        bitwise), minus the BPTT bookkeeping.  Per-step arrays stay
-        allocating on purpose — they are tiny, and in-place ufuncs on
-        strided gate slices are slower than fresh contiguous outputs.
-        """
-        n, t, _ = x.shape
-        h = self.hidden_size
-        self._cache = None
-        flat_x = x.reshape(n * t, -1)
-        x_gates = self.scratch("xg", (n * t, 2 * h))
-        np.matmul(flat_x, self.w_gates.value, out=x_gates)
-        x_gates += self.b_gates.value
-        x_cand = self.scratch("xc", (n * t, h))
-        np.matmul(flat_x, self.w_cand.value, out=x_cand)
-        x_cand += self.b_cand.value
-        gates3 = x_gates.reshape(n, t, 2 * h)
-        cand3 = x_cand.reshape(n, t, h)
-        h_prev = np.zeros((n, h), dtype=np.float32)
-        hiddens = (np.empty((t, n, h), dtype=np.float32)
-                   if self.return_sequences else None)
-        for step in range(t):
-            gates = gates3[:, step, :] + h_prev @ self.u_gates.value
-            z = _sigmoid(gates[:, :h])
-            r = _sigmoid(gates[:, h:])
-            cand = np.tanh(cand3[:, step, :]
-                           + (r * h_prev) @ self.u_cand.value)
-            h_prev = (1.0 - z) * h_prev + z * cand
-            if hiddens is not None:
-                hiddens[step] = h_prev
-        if self.return_sequences:
-            out = hiddens.transpose(1, 0, 2)
-            if self.reverse:
-                out = out[:, ::-1, :]
-            return np.ascontiguousarray(out)
-        return h_prev.copy()
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         cache = self._require_cache(self._cache)

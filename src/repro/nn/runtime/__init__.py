@@ -1,14 +1,11 @@
-"""Inference-time execution runtime: scratch arenas and path selection."""
+"""Inference-time runtime support: sampled per-layer profiling."""
 
-from repro.nn.runtime.mode import fast_path_enabled, reference_mode
 from repro.nn.runtime.profiling import (
     layer_profiling_interval,
     profiled_layers,
     set_layer_profiling,
 )
-from repro.nn.runtime.workspace import Workspace
 
 __all__ = [
-    "Workspace", "fast_path_enabled", "reference_mode",
     "layer_profiling_interval", "profiled_layers", "set_layer_profiling",
 ]

@@ -1,8 +1,8 @@
 """Unified observability: metrics registry, request tracing, exporters.
 
 The pipeline's runtime signals — reliability counters, scheduler/queue
-telemetry, per-stage serving latencies, nn-runtime workspace and layer
-timings — all land in a :class:`MetricsRegistry` and come out through one
+telemetry, per-stage serving latencies, nn plan compiles, arena
+allocations and layer timings — all land in a :class:`MetricsRegistry` and come out through one
 snapshot, renderable as JSON, Prometheus text, or a human table
 (``repro stats``).  See DESIGN.md §11 for the design rationale.
 """

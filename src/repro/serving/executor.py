@@ -59,7 +59,11 @@ from repro.exceptions import (
     TornSlotError,
     WorkerCrashError,
 )
-from repro.nn.compile.backends import using_backend, warm_plans
+from repro.nn.compile.backends import (
+    DEFAULT_BACKEND,
+    using_backend,
+    warm_plans,
+)
 from repro.obs.metrics import HANDOFF_BUCKETS, get_registry
 from repro.serving.ring import SlotRing
 
@@ -413,7 +417,7 @@ class ParallelExecutor:
     """
 
     def __init__(self, model, *, workers: int = 0,
-                 backend: str = "numpy-fast", max_rows: int = 128,
+                 backend: str = DEFAULT_BACKEND, max_rows: int = 128,
                  meta_max: int = 1 << 16, respawn_backoff: float = 0.05,
                  respawn_backoff_cap: float = 2.0, metrics=None) -> None:
         if workers < 0:

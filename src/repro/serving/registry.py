@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import ConfigurationError, ServingError
+from repro.nn.compile.backends import DEFAULT_BACKEND, get_backend
 from repro.streaming.runtime import PRIVACY_LADDER
 
 
@@ -62,9 +63,7 @@ class ServingModelRegistry:
     """
 
     def __init__(self, *, default: str | None = None,
-                 backend: str = "numpy-fast") -> None:
-        from repro.nn.compile.backends import get_backend
-
+                 backend: str = DEFAULT_BACKEND) -> None:
         get_backend(backend)   # validate eagerly
         self._records: dict[str, ModelRecord] = {}
         self._routes: dict[str | None, str] = {}
@@ -88,8 +87,6 @@ class ServingModelRegistry:
             raise ConfigurationError(
                 "register() needs exactly one of model= or loader=")
         if backend is not None:
-            from repro.nn.compile.backends import get_backend
-
             get_backend(backend)
         with self._lock:
             if name in self._records:

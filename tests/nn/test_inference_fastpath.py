@@ -1,12 +1,16 @@
-"""Inference fast path: parity with the reference forward, workspace reuse.
+"""The serving fast path — compiled plans — against the reference forward.
 
-Every layer with a ``_forward_inference`` branch must produce the same
-output (atol 1e-5) as the reference path — the training-style forward
-that ``repro.nn.reference_mode`` forces — on eval-mode layers, and the
-workspace arena must actually reuse its scratch buffers across calls.
+Every layer with a compiled lowering must produce the same output (atol
+1e-5) as the reference path — the plain layer forward that the
+``reference`` backend selects — when served through
+:meth:`NeuralNetwork.predict_logits` under the default backend.  Layers
+without a lowering must fall back to the reference forward exactly.  The
+plan's one arena must be reused across calls and never pickled.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from repro.nn import (
     GlobalAvgPool2D,
     LeakyReLU,
     MaxPool2D,
+    NeuralNetwork,
     ParallelBranches,
     ReLU,
     Reshape,
@@ -34,30 +39,45 @@ from repro.nn import (
     Sigmoid,
     Softmax,
     Tanh,
-    Workspace,
     assert_float32,
-    fast_path_enabled,
-    reference_mode,
+    compile_network,
+    using_backend,
 )
+from repro.nn.compile import DEFAULT_BACKEND, active_backend_name
 
 ATOL = 1e-5
 
 
-def _fast_and_reference(layer, x):
-    """(fast, reference) outputs of an eval-mode layer on ``x``."""
-    layer.set_training(False)
-    fast = layer.forward(x)
-    with reference_mode():
-        reference = layer.forward(x)
-    return fast, reference
+def _served(layer) -> NeuralNetwork:
+    """An inference-only model (parameter-free layers included)."""
+    model = NeuralNetwork(layer, optimizer_factory=lambda params: None)
+    model.mark_fitted()
+    return model
 
 
-def _check_parity(layer, x):
-    fast, reference = _fast_and_reference(layer, x)
-    np.testing.assert_allclose(fast, reference, atol=ATOL)
-    assert fast.dtype == np.float32
-    assert fast.flags["C_CONTIGUOUS"]
-    return fast
+def _compiled_and_reference(layer, x):
+    """(served, reference, plan) for an eval-mode layer on ``x``.
+
+    ``plan`` is the compiled plan the default backend served from, or
+    None when the layer has no lowering and fell back.
+    """
+    model = _served(layer)
+    served = model.predict_logits(x)
+    with using_backend("reference"):
+        reference = model.predict_logits(x)
+    return served, reference, model._plans[(DEFAULT_BACKEND, x.shape[1:])]
+
+
+def _check_parity(layer, x, *, compiled: bool = True):
+    served, reference, plan = _compiled_and_reference(layer, x)
+    assert (plan is not None) == compiled
+    if compiled:
+        np.testing.assert_allclose(served, reference, atol=ATOL, rtol=0)
+    else:
+        np.testing.assert_array_equal(served, reference)
+    assert served.dtype == np.float32
+    assert served.flags["C_CONTIGUOUS"]
+    return served
 
 
 @pytest.mark.parametrize("kernel,stride,padding,bias", [
@@ -94,7 +114,10 @@ def test_pointwise_layers_match_reference(rng, cls):
         layer.forward(x.astype(np.float32))  # accumulate running stats
     else:
         layer, x = cls(), rng.standard_normal((8, 13))
-    _check_parity(layer, x.astype(np.float32))
+    # Only the layers the shipped models use have lowerings; the rest
+    # must fall back to the reference forward, bit for bit.
+    compiled = cls in (GlobalAvgPool2D, Dense, BatchNorm, ReLU)
+    _check_parity(layer, x.astype(np.float32), compiled=compiled)
 
 
 @pytest.mark.parametrize("cls", [LSTM, GRU, BidirectionalLSTM,
@@ -103,26 +126,31 @@ def test_pointwise_layers_match_reference(rng, cls):
 def test_recurrent_fast_path_matches_reference(rng, cls, return_sequences):
     layer = cls(12, 8, return_sequences=return_sequences, rng=rng)
     x = rng.standard_normal((5, 9, 12)).astype(np.float32)
-    _check_parity(layer, x)
+    # Both bidirectional cells lower (BiGRU is the RnnConfig ablation);
+    # unidirectional cells only ever appear inside them.
+    _check_parity(layer, x, compiled=cls in (BidirectionalLSTM,
+                                             BidirectionalGRU))
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9])
 def test_dropout_eval_is_identity_on_both_paths(rng, rate):
-    layer = Dropout(rate, rng=rng)
+    layer = Sequential([ReLU(), Dropout(rate, rng=rng)])
     x = rng.standard_normal((6, 9)).astype(np.float32)
     out = _check_parity(layer, x)
-    np.testing.assert_array_equal(out, x)
+    np.testing.assert_array_equal(out, np.maximum(x, 0.0))
 
 
 def test_flatten_fast_path_matches_reference(rng):
-    layer = Flatten()
+    # A bare view layer has nothing to compile; behind a compute op it
+    # becomes a free slot alias.
+    layer = Sequential([ReLU(), Flatten()])
     x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
     out = _check_parity(layer, x)
     assert out.shape == (4, 75)
 
 
 def test_reshape_fast_path_matches_reference(rng):
-    layer = Reshape((3, 25))
+    layer = Sequential([ReLU(), Reshape((3, 25))])
     x = rng.standard_normal((4, 75)).astype(np.float32)
     out = _check_parity(layer, x)
     assert out.shape == (4, 3, 25)
@@ -141,7 +169,7 @@ def test_parallel_branches_fast_path_matches_reference(rng):
 def test_residual_fast_path_matches_reference(rng):
     layer = Residual(Sequential([Dense(10, 10, rng=rng), Tanh()]))
     x = rng.standard_normal((5, 10)).astype(np.float32)
-    _check_parity(layer, x)
+    _check_parity(layer, x, compiled=False)
 
 
 def test_sequential_composite_fast_path_matches_reference(rng):
@@ -153,7 +181,6 @@ def test_sequential_composite_fast_path_matches_reference(rng):
         Dropout(0.5, rng=rng),
         Flatten(),
         Dense(4 * 4 * 4, 6, rng=rng),
-        Softmax(),
     ])
     x = rng.standard_normal((3, 1, 8, 8)).astype(np.float32)
     model.set_training(True)
@@ -163,48 +190,47 @@ def test_sequential_composite_fast_path_matches_reference(rng):
 
 def test_fast_path_skips_backward_caches(rng):
     layer = Conv2D(2, 3, 3, rng=rng)
+    model = _served(layer)
     x = rng.standard_normal((2, 2, 8, 8)).astype(np.float32)
-    layer.set_training(True)
-    layer.forward(x)
-    assert layer._cols is not None
-    layer.set_training(False)
-    layer.forward(x)
-    assert layer._cols is None
+    model.predict_logits(x)
+    assert layer._cols is None       # the plan never runs the layer
+    with using_backend("reference"):
+        model.predict_logits(x)
+    assert layer._cols is not None   # the reference forward caches
 
 
 def test_workspace_buffers_are_reused(rng):
-    workspace = Workspace()
-    layer = Conv2D(3, 4, 3, rng=rng)
-    layer.set_workspace(workspace)
+    """The plan's one arena serves every batch size up to capacity."""
+    layer = Sequential([Conv2D(3, 4, 3, rng=rng), ReLU()])
     layer.set_training(False)
-    x = rng.standard_normal((2, 3, 10, 10)).astype(np.float32)
-    first = layer.forward(x)
-    buffers_after_first = len(workspace)
-    buffer = workspace.buffer(f"{layer.name}.cols", (2, 27, 100), np.float32)
-    second = layer.forward(x)
-    assert len(workspace) == buffers_after_first  # no new allocations
-    assert workspace.buffer(f"{layer.name}.cols", (2, 27, 100),
-                            np.float32) is buffer
+    plan = compile_network(layer, (3, 10, 10))
+    x = rng.standard_normal((4, 3, 10, 10)).astype(np.float32)
+    first = plan.run(x)
+    arena = plan.arena
+    second = plan.run(x)
+    plan.run(x[:1])
+    plan.run(x[:3])
+    assert plan.arena is arena and plan.arena_allocs == 1
     np.testing.assert_array_equal(first, second)
-    assert workspace.nbytes > 0
-    workspace.clear()
-    assert len(workspace) == 0
+    assert not np.shares_memory(first, arena)  # outputs never alias it
+    plan.run(np.concatenate([x, x]))          # growth: one new block
+    assert plan.arena is not arena and plan.arena_allocs == 2
 
 
 def test_workspace_pickles_empty(rng):
-    import pickle
-
-    workspace = Workspace()
-    workspace.buffer("scratch", (4, 4), np.float32)
-    restored = pickle.loads(pickle.dumps(workspace))
-    assert len(restored) == 0  # buffers are dropped, not shipped
+    """A pickled model never carries a plan or its arena."""
+    model = _served(Sequential([Dense(16, 16, rng=rng), ReLU()]))
+    cold = len(pickle.dumps(model))
+    model.predict_logits(rng.standard_normal((64, 16)).astype(np.float32))
+    assert model._plans[(DEFAULT_BACKEND, (16,))].arena is not None
+    assert len(pickle.dumps(model)) == cold
 
 
 def test_reference_mode_restores_fast_path():
-    assert fast_path_enabled()
-    with reference_mode():
-        assert not fast_path_enabled()
-    assert fast_path_enabled()
+    assert active_backend_name() == DEFAULT_BACKEND == "numpy-compiled"
+    with using_backend("reference"):
+        assert active_backend_name() == "reference"
+    assert active_backend_name() == DEFAULT_BACKEND
 
 
 def test_assert_float32_rejects_float64():
@@ -213,19 +239,30 @@ def test_assert_float32_rejects_float64():
         assert_float32(np.zeros(3, dtype=np.float64), where="logits")
 
 
-def test_ensemble_fast_path_matches_reference(tiny_driving_dataset):
+def _check_ensemble_parity(dataset, cell: str) -> None:
     from repro.core import CnnConfig, DarNetEnsemble, RnnConfig
 
     ensemble = DarNetEnsemble(
         "cnn+rnn", cnn_config=CnnConfig(epochs=1, width=0.5),
-        rnn_config=RnnConfig(hidden_units=8, epochs=1),
+        rnn_config=RnnConfig(hidden_units=8, epochs=1, cell=cell),
         rng=np.random.default_rng(3))
-    ensemble.fit(tiny_driving_dataset)
-    images = tiny_driving_dataset.images[:16]
-    windows = tiny_driving_dataset.imu[:16]
-    fast = ensemble.predict_degraded(images=images, imu=windows)
-    with reference_mode():
+    ensemble.fit(dataset)
+    images = dataset.images[:16]
+    windows = dataset.imu[:16]
+    served = ensemble.predict_degraded(images=images, imu=windows)
+    for member in (ensemble.cnn.model, ensemble.imu_model.model):
+        assert all(plan is not None for plan in member._plans.values())
+    with using_backend("reference"):
         reference = ensemble.predict_degraded(images=images, imu=windows)
-    np.testing.assert_allclose(fast.probabilities, reference.probabilities,
+    np.testing.assert_allclose(served.probabilities, reference.probabilities,
                                atol=ATOL)
-    np.testing.assert_array_equal(fast.predictions, reference.predictions)
+    np.testing.assert_array_equal(served.predictions, reference.predictions)
+
+
+def test_ensemble_fast_path_matches_reference(tiny_driving_dataset):
+    _check_ensemble_parity(tiny_driving_dataset, "lstm")
+
+
+def test_gru_ablation_ensemble_matches_reference(tiny_driving_dataset):
+    """The recurrent-cell ablation serves compiled, not via fallback."""
+    _check_ensemble_parity(tiny_driving_dataset, "gru")

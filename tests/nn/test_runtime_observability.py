@@ -1,4 +1,4 @@
-"""nn runtime telemetry: sampled layer profiling, workspace counters."""
+"""nn runtime telemetry: sampled layer profiling, plan counters."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.nn import Dense, ReLU, Sequential, Workspace
+from repro.nn import Dense, NeuralNetwork, ReLU, Sequential, compile_network
 from repro.nn.runtime import (
     layer_profiling_interval,
     profiled_layers,
@@ -107,48 +107,67 @@ class TestSequentialProfiling:
         assert layer_timer("conv1") is not layer_timer("conv2")
 
 
-class TestWorkspaceCounters:
-    def test_buffer_counts_hits_and_misses(self):
-        workspace = Workspace()
-        workspace.buffer("cols", (2, 3))
-        assert (workspace.hits, workspace.misses) == (0, 1)
-        workspace.buffer("cols", (2, 3))
-        workspace.buffer("cols", (2, 3))
-        assert (workspace.hits, workspace.misses) == (2, 1)
-        workspace.buffer("cols", (4, 3))  # new shape -> new buffer
-        assert (workspace.hits, workspace.misses) == (2, 2)
+class TestPlanCounters:
+    """Compiles and arena allocations: the first-use events that set the
+    serving tail, published by the plan once per run."""
 
-    def test_zeros_counts_like_buffer(self):
-        workspace = Workspace()
-        workspace.zeros("state", (2, 2))
-        workspace.zeros("state", (2, 2))
-        assert (workspace.hits, workspace.misses) == (1, 1)
+    def _net(self, rng):
+        net = Sequential([Dense(6, 4, rng=rng), ReLU()])
+        net.set_training(False)
+        return net
 
-    def test_publish_metrics_flushes_deltas_once(self):
-        workspace = Workspace()
-        workspace.buffer("a", (2,))
-        workspace.buffer("a", (2,))
-        workspace.publish_metrics()
+    def _counts(self) -> tuple[float, float]:
         registry = get_registry()
-        assert registry.counter("nn_workspace_hits_total").value == 1
-        assert registry.counter("nn_workspace_misses_total").value == 1
-        workspace.publish_metrics()  # no new activity: no double count
-        assert registry.counter("nn_workspace_hits_total").value == 1
-        workspace.buffer("a", (2,))
-        workspace.publish_metrics()
-        assert registry.counter("nn_workspace_hits_total").value == 2
+        compiles = registry.get("nn_plan_compiles_total")
+        allocs = registry.get("nn_plan_arena_allocs_total")
+        return (compiles.value if compiles else 0,
+                allocs.value if allocs else 0)
 
-    def test_publish_without_activity_creates_no_series(self):
-        Workspace().publish_metrics()
-        assert len(get_registry()) == 0
+    def test_only_growth_allocates(self, rng):
+        plan = compile_network(self._net(rng), (6,))
+        assert (plan.capacity, plan.arena_allocs) == (0, 0)
+        for n in (4, 4, 2, 4, 1):
+            plan.run(rng.standard_normal((n, 6)).astype(np.float32))
+        assert plan.arena_allocs == 1
+        plan.run(rng.standard_normal((9, 6)).astype(np.float32))
+        assert (plan.capacity, plan.arena_allocs) == (9, 2)
 
-    def test_pickled_workspace_resets_counters(self):
-        workspace = Workspace()
-        workspace.buffer("a", (2,))
-        workspace.publish_metrics()
-        restored = pickle.loads(pickle.dumps(workspace))
-        assert (restored.hits, restored.misses) == (0, 0)
-        restored.buffer("a", (2,))
-        restored.publish_metrics()  # fresh delta, not a replay
-        assert get_registry().counter(
-            "nn_workspace_misses_total").value == 2
+    def test_publish_metrics_flushes_deltas_once(self, rng):
+        plan = compile_network(self._net(rng), (6,))
+        x = rng.standard_normal((3, 6)).astype(np.float32)
+        plan.run(x)
+        assert self._counts() == (1, 1)
+        plan.run(x)               # steady state: nothing new to publish
+        plan.publish_metrics()
+        assert self._counts() == (1, 1)
+        plan.run(np.concatenate([x, x]))
+        assert self._counts() == (1, 2)
+
+    def test_repeat_publish_creates_no_series(self, rng):
+        plan = compile_network(self._net(rng), (6,))
+        plan.publish_metrics()
+        assert self._counts() == (1, 0)
+        plan.publish_metrics()
+        assert len(get_registry()) == 1
+
+    def test_model_compiles_once_per_shape_and_backend(self, rng):
+        model = NeuralNetwork(self._net(rng),
+                              optimizer_factory=lambda params: None)
+        model.mark_fitted()
+        for n in (5, 3, 5):
+            model.predict_logits(
+                rng.standard_normal((n, 6)).astype(np.float32))
+        assert self._counts() == (1, 1)
+        model.invalidate_plans()   # weight surgery: a fresh plan
+        model.predict_logits(rng.standard_normal((2, 6)).astype(np.float32))
+        assert self._counts() == (2, 2)
+
+    def test_pickled_model_recompiles_and_republishes(self, rng):
+        model = NeuralNetwork(self._net(rng),
+                              optimizer_factory=lambda params: None)
+        model.mark_fitted()
+        x = rng.standard_normal((2, 6)).astype(np.float32)
+        model.predict_logits(x)
+        restored = pickle.loads(pickle.dumps(model))
+        restored.predict_logits(x)   # fresh plan: a fresh delta
+        assert self._counts() == (2, 2)

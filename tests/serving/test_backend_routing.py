@@ -38,17 +38,22 @@ class RecordingModel:
 
 
 def test_registry_default_and_per_variant_override():
-    registry = ServingModelRegistry(backend="numpy-compiled")
+    assert ServingModelRegistry().backend == "numpy-compiled"
+    registry = ServingModelRegistry(backend="reference")
     registry.register("float", RecordingModel())
     registry.register("quant", RecordingModel(),
                       backend="numpy-compiled-int8")
-    assert registry.backend_for("float") == "numpy-compiled"
+    registry.register("plan", RecordingModel(), backend="numpy-compiled")
+    assert registry.backend_for("float") == "reference"
     assert registry.backend_for("quant") == "numpy-compiled-int8"
+    assert registry.backend_for("plan") == "numpy-compiled"
 
 
 def test_registry_rejects_unknown_backends():
     with pytest.raises(ConfigurationError):
         ServingModelRegistry(backend="no-such-backend")
+    with pytest.raises(ConfigurationError):
+        ServingModelRegistry(backend="numpy-fast")   # deleted interpreter
     registry = ServingModelRegistry()
     with pytest.raises(ConfigurationError):
         registry.register("m", RecordingModel(), backend="no-such-backend")
@@ -66,16 +71,21 @@ def _verdict_for(server, driver, privacy, now):
 
 def test_dispatch_runs_each_variant_under_its_pinned_backend():
     float_model, quant_model = RecordingModel(), RecordingModel()
+    oracle_model = RecordingModel()
     registry = ServingModelRegistry(default="float")
     registry.register("float", float_model)
     registry.register("quant", quant_model, backend="numpy-compiled-int8")
+    registry.register("oracle", oracle_model, backend="reference")
     registry.bind("high", "quant")
+    registry.bind("low", "oracle")
     server = InferenceServer(registry, max_batch=4)
 
     assert _verdict_for(server, 0, None, 0.0)
     assert _verdict_for(server, 1, "high", 10.0)
+    assert _verdict_for(server, 2, "low", 20.0)
 
-    assert float_model.backends_seen == ["numpy-fast"]
+    assert float_model.backends_seen == ["numpy-compiled"]
     assert quant_model.backends_seen == ["numpy-compiled-int8"]
+    assert oracle_model.backends_seen == ["reference"]
     # The thread-local selection must not linger after dispatch.
-    assert active_backend_name() == "numpy-fast"
+    assert active_backend_name() == "numpy-compiled"

@@ -195,14 +195,17 @@ class TestObservabilityToggle:
 class TestMetricsSnapshotMerge:
     def test_merges_server_and_process_registries(
             self, serving_ensemble, tiny_driving_dataset):
+        for member in (serving_ensemble.cnn.model,
+                       serving_ensemble.imu_model.model):
+            member.invalidate_plans()   # compile under this registry
         server = InferenceServer.for_model(serving_ensemble)
         serve_one(server, tiny_driving_dataset)
         get_registry().counter("process_side_marker_total").inc(3)
         snapshot = server.metrics_snapshot()
         assert find_metric(snapshot, "serving_verdicts_total")["value"] == 1
         assert find_metric(snapshot, "process_side_marker_total")["value"] == 3
-        # The forward pass itself published workspace telemetry globally.
-        assert find_metric(snapshot, "nn_workspace_hits_total")["value"] > 0
+        # Compiling the plans published nn telemetry globally.
+        assert find_metric(snapshot, "nn_plan_compiles_total")["value"] >= 1
 
     def test_shared_registry_is_not_double_counted(
             self, serving_ensemble, tiny_driving_dataset):

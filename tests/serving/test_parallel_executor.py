@@ -124,17 +124,24 @@ def test_workers_report_shard_and_ring_telemetry(serving_ensemble,
 
 def test_worker_metrics_drain_back_to_parent(serving_ensemble,
                                              tiny_driving_dataset):
-    """Telemetry recorded inside the forked workers (workspace reuse,
-    backend counters) rides the response meta and merges into the
-    parent registry — the fork doesn't black-hole observability."""
+    """Telemetry recorded inside the forked workers (plan arena growth)
+    rides the response meta and merges into the parent registry — the
+    fork doesn't black-hole observability."""
     from repro.obs.metrics import get_registry
 
+    members = (serving_ensemble.cnn.model, serving_ensemble.imu_model.model)
+    for member in members:
+        member.invalidate_plans()
     images = tiny_driving_dataset.images[:10]
     windows = tiny_driving_dataset.imu[:10]
     with ParallelExecutor(serving_ensemble, workers=2) as executor:
         executor.predict_degraded(images=images, imu=windows)
-    misses = get_registry().get("nn_workspace_misses_total")
-    assert misses is not None and misses.value > 0
+    # The parent compiled 1-row probe plans before forking; each worker
+    # inherited them and grew their arenas for its 5-row shard.
+    parent_allocs = sum(plan.arena_allocs for member in members
+                        for plan in member._plans.values())
+    allocs = get_registry().get("nn_plan_arena_allocs_total")
+    assert allocs is not None and allocs.value > parent_allocs
 
 
 def test_single_sample_batch_round_trips(serving_ensemble,

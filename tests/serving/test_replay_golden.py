@@ -3,7 +3,7 @@
 A seeded :func:`replay_concurrent_drives` over the package ensemble must
 deliver byte-for-byte the same ``(session_id, sequence, predicted,
 degraded)`` sequence as the committed fixture — any change to stream
-synthesis, session bookkeeping, scheduling order, or the inference fast
+synthesis, session bookkeeping, scheduling order, or the compiled inference
 path that shifts a single verdict shows up here.
 
 Regenerate deliberately after an intended behaviour change with::
@@ -29,18 +29,19 @@ REPLAY_ARGS = dict(drivers=2, duration=3.0, kill_camera=1, seed=11)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["numpy-fast", "numpy-compiled"])
+@pytest.mark.parametrize("backend", ["reference", "numpy-compiled"])
 def test_replay_matches_golden_verdict_sequence(serving_ensemble, backend):
     """Every float backend must reproduce the one committed sequence.
 
-    ``numpy-compiled`` shares this fixture with the default fast path on
-    purpose: compiled plans are bit-exact by contract, so a single
-    verdict of drift under either backend fails the same assertion.
+    The fixture was recorded from the float arithmetic compiled plans
+    still run bit for bit; the reference forward (the oracle) agrees
+    with it to float32 rounding, so a single verdict of drift under
+    either backend fails the same assertion.
     """
     report = replay_concurrent_drives(serving_ensemble, backend=backend,
                                       **REPLAY_ARGS)
     if os.environ.get("REGEN_GOLDEN"):
-        if backend != "numpy-fast":
+        if backend != "numpy-compiled":
             pytest.skip("fixture regenerates under the default backend only")
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(
