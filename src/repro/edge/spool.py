@@ -8,11 +8,17 @@ fsync-batched WAL idiom as :mod:`repro.serving.journal`, adapted to the
 device side:
 
 * every verdict (and every evidence clip) is framed to disk *before* an
-  upload is attempted;
-* an **ack cursor** sidecar records how far the controller has
-  acknowledged; on restart only unacknowledged records re-enter the
-  upload queue (the controller dedups by record id, so a crashed cursor
-  write costs a duplicate upload, never a lost one);
+  upload is attempted, and each frame is flushed to the OS as it is
+  written, so a SIGKILL of the agent loses none of it; ``fsync_every``
+  batches only the disk barrier that power loss needs;
+* controller acks are **ack frames** in the same log.  Recovery rebuilds
+  the ack state from the frames it replays, and only unacknowledged
+  records re-enter the upload queue (the controller dedups by record id,
+  so a torn ack frame costs a duplicate upload, never a lost record);
+* :meth:`EdgeSpool.compact` rewrites the log as one **watermark frame**
+  — every sequence up to the contiguous ack watermark, plus the
+  out-of-order acks above it — followed by the pending records, so later
+  acks still fold into the watermark and the acked history is not lost;
 * :meth:`EdgeSpool.open` replays the WAL on startup, and a torn tail —
   the frame a SIGKILL interrupted — is detected by its CRC/length and
   **truncated in place**, so the next append starts on a clean frame
@@ -21,6 +27,13 @@ device side:
   sequence ever spooled *or* acknowledged, so a restarted agent resumes
   numbering past its previous incarnation — a reused sequence would be
   deduplicated downstream, i.e. a verdict silently lost.
+
+Earlier versions kept the acks in a ``<path>.cursor`` sidecar file; the
+spool ignores it.  Safety beats freshness: the records that file marked
+acknowledged are uploaded again and deduplicated by the controller.  A
+spool that was compacted down to an empty log under that format also
+forgets its sequence high-water mark, so such a device should come back
+under a fresh spool path and agent id.
 """
 
 from __future__ import annotations
@@ -30,13 +43,21 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 
 from repro.exceptions import ConfigurationError, SpoolError
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 #: Frame layout: magic(2) | payload_length:u32 LE | crc32(payload):u32 LE.
-MAGIC = b"ES"
+#: The magic names the frame kind.  The CRC covers only the payload, so
+#: the three magics differ in at least three bits: no single flipped bit
+#: turns a frame of one kind into a valid frame of another.
+MAGIC = b"ES"            #: a :class:`SpoolRecord`, canonical JSON
+ACK_MAGIC = b"AK"        #: acknowledged sequences, u64 LE each
+WATERMARK_MAGIC = b"WM"  #: the ack watermark, then the acks above it
 _HEADER = struct.Struct("<2sII")
+_SEQUENCE = struct.Struct("<Q")
 
 #: Record kinds the spool carries.
 KIND_VERDICT = "verdict"
@@ -74,9 +95,14 @@ class SpoolRecord:
         Clip records carry their evidence bytes inline, so a clip's wire
         size scales with the clip — the bandwidth model charges for it.
         """
-        return len(self.to_payload()) + 24
+        return len(self._encoded) + 24
 
     def to_payload(self) -> bytes:
+        """The canonical JSON form, encoded once per record."""
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
         return json.dumps({
             "agent_id": self.agent_id, "sequence": self.sequence,
             "timestamp": self.timestamp, "kind": self.kind,
@@ -99,11 +125,67 @@ class SpoolRecord:
                    payload=data.get("payload", ""))
 
 
+class AckState:
+    """Acknowledged sequences: a contiguous watermark (every sequence up
+    to ``through`` is acked; sequences are 1-based) plus the out-of-order
+    acks above it, which fold into the watermark as the gap below them
+    closes."""
+
+    def __init__(self) -> None:
+        self.through = 0
+        self.extra: set[int] = set()
+
+    def __contains__(self, sequence: int) -> bool:
+        return sequence <= self.through or sequence in self.extra
+
+    def add(self, sequence: int) -> None:
+        if sequence not in self:
+            self.extra.add(sequence)
+            self._fold()
+
+    def raise_through(self, through: int) -> None:
+        """Mark every sequence up to ``through`` acknowledged."""
+        if through > self.through:
+            self.through = through
+            self.extra = {s for s in self.extra if s > through}
+            self._fold()
+
+    def _fold(self) -> None:
+        while self.through + 1 in self.extra:
+            self.through += 1
+            self.extra.remove(self.through)
+
+    @property
+    def high(self) -> int:
+        """The highest acknowledged sequence (0 when none)."""
+        return max(self.through, max(self.extra, default=0))
+
+
+def _frame(magic: bytes, payload: bytes) -> bytes:
+    return _HEADER.pack(magic, len(payload),
+                        zlib.crc32(payload) & 0xFFFFFFFF) + payload
+
+
 def frame_spool_record(record: SpoolRecord) -> bytes:
     """One on-disk frame: header + payload, CRC over the payload."""
-    payload = record.to_payload()
-    return _HEADER.pack(MAGIC, len(payload),
-                        zlib.crc32(payload) & 0xFFFFFFFF) + payload
+    return _frame(MAGIC, record.to_payload())
+
+
+def frame_ack(sequence: int) -> bytes:
+    """The frame recording that the controller acked ``sequence``."""
+    return _frame(ACK_MAGIC, _SEQUENCE.pack(sequence))
+
+
+def frame_watermark(acks: AckState) -> bytes:
+    """One frame carrying the whole ack state: the watermark first."""
+    marks = [acks.through, *sorted(acks.extra)]
+    return _frame(WATERMARK_MAGIC, struct.pack(f"<{len(marks)}Q", *marks))
+
+
+def _sequences(payload: bytes) -> tuple[int, ...]:
+    if not payload or len(payload) % _SEQUENCE.size:
+        raise ValueError("ack payload is not a whole number of sequences")
+    return struct.unpack(f"<{len(payload) // _SEQUENCE.size}Q", payload)
 
 
 @dataclass
@@ -111,16 +193,30 @@ class SpoolReplay:
     """What :func:`replay_spool` recovered from a spool file."""
 
     records: list[SpoolRecord] = field(default_factory=list)
+    acks: AckState = field(default_factory=AckState)
     duplicates: int = 0
     torn: int = 0
     bytes_read: int = 0
+
+    @property
+    def pending(self) -> list[SpoolRecord]:
+        """The replayed records no replayed ack covers, in log order."""
+        return [r for r in self.records if r.sequence not in self.acks]
+
+    @property
+    def last_sequence(self) -> int:
+        """The highest sequence the log shows spooled or acked."""
+        return max(self.acks.high,
+                   max((r.sequence for r in self.records), default=0))
 
 
 def replay_spool(path: str) -> SpoolReplay:
     """Crash-safe replay: parse intact frames, dedup, stop at a torn tail.
 
-    ``bytes_read`` is the offset of the last fully verified frame — the
-    truncation point a recovery pass cuts the file back to.
+    Record frames are deduplicated by record id; ack and watermark
+    frames accumulate into :attr:`SpoolReplay.acks`.  ``bytes_read`` is
+    the offset of the last fully verified frame — the truncation point a
+    recovery pass cuts the file back to.
     """
     replay = SpoolReplay()
     if not os.path.exists(path):
@@ -136,22 +232,32 @@ def replay_spool(path: str) -> SpoolReplay:
             break
         magic, length, crc = _HEADER.unpack(header)
         payload = blob[offset + _HEADER.size:offset + _HEADER.size + length]
-        if (magic != MAGIC or len(payload) < length
+        if (magic not in (MAGIC, ACK_MAGIC, WATERMARK_MAGIC)
+                or len(payload) < length
                 or zlib.crc32(payload) & 0xFFFFFFFF != crc):
             replay.torn += 1
             break
         try:
-            record = SpoolRecord.from_payload(payload)
+            if magic == MAGIC:
+                record = SpoolRecord.from_payload(payload)
+            else:
+                marks = _sequences(payload)
         except (ValueError, KeyError):
             replay.torn += 1
             break
         offset += _HEADER.size + length
         replay.bytes_read = offset
-        if record.record_id in seen:
+        if magic != MAGIC:
+            if magic == WATERMARK_MAGIC:
+                replay.acks.raise_through(marks[0])
+                marks = marks[1:]
+            for sequence in marks:
+                replay.acks.add(sequence)
+        elif record.record_id in seen:
             replay.duplicates += 1
-            continue
-        seen.add(record.record_id)
-        replay.records.append(record)
+        else:
+            seen.add(record.record_id)
+            replay.records.append(record)
     return replay
 
 
@@ -159,13 +265,13 @@ class EdgeSpool:
     """Durable upload queue for one edge agent.
 
     Args:
-        path: WAL file (a ``<path>.cursor`` sidecar tracks acks).
+        path: WAL file; records and the acks of them share it.
         fsync_every: records between disk barriers.
         registry: metrics registry; process default when omitted.
 
     Use :meth:`open` to construct: it recovers the WAL first (truncating
-    any torn tail) and seeds the pending queue with every record the
-    cursor has not acknowledged.
+    any torn tail) and seeds the pending queue with every record no
+    replayed ack covers.
     """
 
     def __init__(self, path: str, *, fsync_every: int = 8,
@@ -173,7 +279,6 @@ class EdgeSpool:
         if fsync_every < 1:
             raise ConfigurationError("fsync_every must be >= 1")
         self.path = str(path)
-        self.cursor_path = self.path + ".cursor"
         self.fsync_every = int(fsync_every)
         self.torn_truncated = 0
         self.appended = 0
@@ -182,12 +287,9 @@ class EdgeSpool:
         #: past this so a restart never reuses one.
         self.last_sequence = 0
         self._since_sync = 0
-        self._pending: list[SpoolRecord] = []
-        # Sequences are 1-based; ``_acked_through == 0`` means nothing
-        # acked yet, and out-of-order acks wait in the extra set until
-        # the gap below them closes.
-        self._acked_through = 0
-        self._acked_extra: set[int] = set()
+        #: Unacknowledged records by sequence, in append order.
+        self._pending: dict[int, SpoolRecord] = {}
+        self._acks = AckState()
         registry = registry or get_registry()
         self._obs_depth = registry.gauge(
             "edge_spool_depth", "Spooled records awaiting upload ack")
@@ -215,7 +317,6 @@ class EdgeSpool:
 
     # -- recovery ----------------------------------------------------------
     def _recover(self) -> None:
-        self._load_cursor()
         replay = replay_spool(self.path)
         if replay.torn:
             # A SIGKILL mid-append left a partial frame; cut the file
@@ -225,53 +326,18 @@ class EdgeSpool:
                 handle.truncate(replay.bytes_read)
             self.torn_truncated = replay.torn
             self._obs_truncated.inc(replay.torn)
-        for record in replay.records:
-            if not self._is_acked(record.sequence):
-                self._pending.append(record)
-        # The cursor can sit above every surviving record (a compacted,
-        # fully-acked spool has an empty WAL), so the high-water mark is
-        # the max across both the WAL and the ack state.
-        self.last_sequence = max(
-            self.last_sequence, self._acked_through,
-            max(self._acked_extra, default=0),
-            max((r.sequence for r in replay.records), default=0))
-
-    def _load_cursor(self) -> None:
-        if not os.path.exists(self.cursor_path):
-            return
-        try:
-            with open(self.cursor_path, encoding="utf-8") as handle:
-                data = json.load(handle)
-            self._acked_through = max(0, int(data.get("acked_through", 0)))
-            self._acked_extra = {int(s) for s in data.get("extra", [])}
-        except (OSError, ValueError):
-            # A torn cursor means re-uploading at most everything on
-            # disk; the controller dedups, so safety beats freshness.
-            self._acked_through = 0
-            self._acked_extra = set()
-
-    def _save_cursor(self) -> None:
-        payload = json.dumps({"acked_through": self._acked_through,
-                              "extra": sorted(self._acked_extra)})
-        tmp = self.cursor_path + ".tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, self.cursor_path)
-        except OSError:
-            pass  # a stale cursor only costs deduplicated re-uploads
-
-    def _is_acked(self, sequence: int) -> bool:
-        return sequence <= self._acked_through \
-            or sequence in self._acked_extra
+        self._acks = replay.acks
+        self._pending = {r.sequence: r for r in replay.pending}
+        self.last_sequence = replay.last_sequence
 
     # -- appending ---------------------------------------------------------
     def append(self, record: SpoolRecord) -> None:
-        """Durably queue one record for upload."""
-        if self._is_acked(record.sequence):
+        """Durably queue one record for upload; a sequence already
+        queued or acknowledged is not queued again."""
+        if record.sequence in self._acks or record.sequence in self._pending:
             return
         try:
-            self._handle.write(frame_spool_record(record))
+            self._write(frame_spool_record(record))
         except OSError as error:
             raise SpoolError(f"spool append failed: {error}") from error
         self.appended += 1
@@ -280,8 +346,14 @@ class EdgeSpool:
         self._since_sync += 1
         if self._since_sync >= self.fsync_every:
             self.sync()
-        self._pending.append(record)
+        self._pending[record.sequence] = record
         self._publish()
+
+    def _write(self, frame: bytes) -> None:
+        # Flushed per frame: a SIGKILL then loses nothing written, while
+        # power loss still waits on the batched fsync in sync().
+        self._handle.write(frame)
+        self._handle.flush()
 
     def sync(self) -> None:
         """Flush buffered frames and issue the disk barrier."""
@@ -302,23 +374,21 @@ class EdgeSpool:
 
     def pending(self, limit: int | None = None) -> list[SpoolRecord]:
         """The oldest unacknowledged records, in append order."""
-        if limit is None:
-            return list(self._pending)
-        return self._pending[:limit]
+        return list(islice(self._pending.values(), limit))
 
     def ack(self, sequence: int) -> None:
         """The controller acknowledged the record carrying ``sequence``."""
-        if self._is_acked(sequence):
+        if sequence in self._acks:
             return
-        self._acked_extra.add(sequence)
-        while self._acked_through + 1 in self._acked_extra:
-            self._acked_through += 1
-            self._acked_extra.discard(self._acked_through)
-        self._pending = [r for r in self._pending
-                         if r.sequence != sequence]
+        try:
+            self._write(frame_ack(sequence))
+        except OSError:
+            pass  # a lost ack frame only costs a deduplicated re-upload
+        self._acks.add(sequence)
+        self._pending.pop(sequence, None)
+        self.last_sequence = max(self.last_sequence, sequence)
         self.acked += 1
         self._obs_acked.inc()
-        self._save_cursor()
         self._publish()
 
     # -- maintenance -------------------------------------------------------
@@ -332,26 +402,26 @@ class EdgeSpool:
         return self._handle.tell()
 
     def compact(self) -> None:
-        """Rewrite the WAL keeping only unacknowledged records.
+        """Rewrite the WAL as the ack watermark plus unacknowledged records.
 
         Called on clean shutdown so an agent that has been online for a
         long drive does not replay megabytes of acked history next boot.
+        The watermark frame keeps the ack state whole: surviving records
+        keep their original (high) sequences, so later acks must still
+        fold into it, and it alone remembers the sequences a fully acked
+        spool has spent.
         """
         self.sync()
-        records = list(self._pending)
         tmp = self.path + ".compact"
         with open(tmp, "wb") as handle:
-            for record in records:
+            handle.write(frame_watermark(self._acks))
+            for record in self._pending.values():
                 handle.write(frame_spool_record(record))
             handle.flush()
             os.fsync(handle.fileno())
         self._handle.close()
         os.replace(tmp, self.path)
         self._handle = open(self.path, "ab")
-        # The ack cursor survives compaction untouched: surviving
-        # records keep their original (high) sequences, so resetting it
-        # would strand every future ack in the extra set forever.
-        self._save_cursor()
         self._publish()
 
     def close(self) -> None:

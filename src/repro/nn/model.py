@@ -173,12 +173,18 @@ class NeuralNetwork:
         The active backend's compiled plan runs every chunk (full chunks
         and a ragged tail share its one arena); the reference layer
         forward runs instead under the ``reference`` backend or when the
-        model has a layer without a compiled lowering.
+        model has a layer without a compiled lowering.  Only that
+        fallback switches the layer tree to eval mode: plans are eval
+        mode by construction, and the recursive switch would otherwise
+        cost every small-batch call a walk of the whole tree.
         """
         x = np.asarray(x, dtype=np.float32)
-        self.network.set_training(False)
         plan = self._compiled_plan(x.shape[1:])
-        run = self.network.forward if plan is None else plan.run
+        if plan is None:
+            self.network.set_training(False)
+            run = self.network.forward
+        else:
+            run = plan.run
         chunks = [run(np.ascontiguousarray(x[start:start + batch_size]))
                   for start in range(0, x.shape[0], batch_size)]
         if len(chunks) == 1:

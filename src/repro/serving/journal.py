@@ -7,9 +7,10 @@ The journal is the durability half of that promise:
 
 * every delivered verdict (and every *deferred* request the degradation
   ladder could not answer immediately) is appended as a length-prefixed,
-  CRC-framed record before it counts as handled;
+  CRC-framed record, and flushed to the OS, before it counts as handled,
+  so a SIGKILL of the serving process loses none of it;
 * ``fsync`` is batched (every ``fsync_every`` records) so durability
-  costs one disk barrier per batch, not per verdict;
+  against power loss costs one disk barrier per batch, not per verdict;
 * :func:`replay_journal` reads a journal back after a crash, *verifying
   every frame*: a torn tail (the record a SIGKILL interrupted) is
   detected by its CRC/length and dropped rather than parsed into
@@ -33,6 +34,7 @@ import json
 import os
 import struct
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import ConfigurationError, JournalError
@@ -168,10 +170,11 @@ class VerdictJournal:
     Args:
         path: journal file (created/appended; parent directory must
             exist).
-        fsync_every: records between disk barriers.  A crash loses at
-            most the unsynced tail *of the file buffer*; records framed
-            but unsynced are still usually recovered (the OS flushed
-            them), and a torn final frame is detected on replay.
+        fsync_every: records between disk barriers.  Every frame is
+            flushed to the OS as it is appended, so a process crash
+            loses nothing appended; power loss can lose the frames
+            since the last barrier, and a torn final frame is detected
+            on replay.
         registry: metrics registry for the journal gauges
             (``serving_journal_disk_bytes``, depth, appends, overflow);
             the process default when omitted.
@@ -263,6 +266,7 @@ class VerdictJournal:
     def _write(self, record: VerdictRecord) -> bool:
         try:
             self._handle.write(frame_record(record))
+            self._handle.flush()
         except OSError:
             self._disk_full = True
             return False
@@ -358,7 +362,8 @@ class StoreAndForwardSink:
         self.downstream = downstream
         self.blackholed = False
         self.delivered: list[VerdictRecord] = []
-        self._pending: list[VerdictRecord] = []
+        self._pending: deque[VerdictRecord] = deque()
+        self._pending_ids: set[tuple[str, int]] = set()
         self._delivered_ids: set[tuple[str, int]] = set()
         self.duplicates_suppressed = 0
         self.delivery_failures = 0
@@ -381,10 +386,11 @@ class StoreAndForwardSink:
             self.duplicates_suppressed += 1
             return
         self.journal.append(record)
-        if any(p.record_id == record.record_id for p in self._pending):
+        if record.record_id in self._pending_ids:
             self.duplicates_suppressed += 1
             return
         self._pending.append(record)
+        self._pending_ids.add(record.record_id)
         self.journal.set_depth(len(self._pending))
 
     def pump(self, now: float) -> int:
@@ -394,12 +400,14 @@ class StoreAndForwardSink:
         while self._pending:
             record = self._pending[0]
             if record.record_id in self._delivered_ids:
-                self._pending.pop(0)
+                self._pending.popleft()
+                self._pending_ids.discard(record.record_id)
                 self.duplicates_suppressed += 1
                 continue
             if not self._deliver(record):
                 break
-            self._pending.pop(0)
+            self._pending.popleft()
+            self._pending_ids.discard(record.record_id)
             self._delivered_ids.add(record.record_id)
             self.delivered.append(record)
             self._obs_delivered.inc()

@@ -1,6 +1,7 @@
 """Verdict journal: framing, crash-safe replay, fsync batching,
 disk-full degradation, and store-and-forward delivery."""
 
+import errno
 import os
 import signal
 import subprocess
@@ -222,6 +223,53 @@ def test_sigkill_mid_write_leaves_replayable_journal(tmp_path):
     assert sequences == list(range(len(sequences)))
     assert replay.duplicates == 0
     assert replay.torn <= 1  # at most the one frame the kill interrupted
+
+
+def test_sigkill_before_first_fsync_keeps_every_append(tmp_path):
+    """Frames reach the OS as they are appended: a SIGKILL before the
+    first fsync batch fills must not lose a record append() accepted."""
+    path = str(tmp_path / "kill.wal")
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    writer = (
+        "import os, signal, sys; sys.path.insert(0, sys.argv[2])\n"
+        "from repro.serving.journal import VerdictJournal, VerdictRecord\n"
+        "journal = VerdictJournal(sys.argv[1])\n"
+        "for i in range(3):\n"
+        "    journal.append(VerdictRecord(session_id='drv-0', sequence=i,\n"
+        "                                 timestamp=0.1 * i))\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", writer, path,
+                           os.path.abspath(src)], timeout=60)
+    assert proc.returncode == -signal.SIGKILL
+    replay = replay_journal(path)
+    assert [r.sequence for r in replay.records] == [0, 1, 2]
+    assert replay.torn == 0
+
+
+def test_failed_flush_is_a_failed_append(tmp_path):
+    """A flush that hits ENOSPC parks the record in the overflow buffer
+    exactly like a failed write; it drains once the disk recovers."""
+    path = str(tmp_path / "j.wal")
+    journal = VerdictJournal(path, fsync_every=100)
+    real = journal._handle
+
+    class FullDisk:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def flush(self):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    journal._handle = FullDisk()
+    assert not journal.append(record(0))
+    assert journal.disk_full and journal.overflow_depth == 1
+    journal._handle = real
+    journal.simulate_disk_full(False)
+    assert journal.overflow_depth == 0
+    journal.close()
+    # The unflushed bytes may land beside the rewrite; replay dedups.
+    assert [r.sequence for r in replay_journal(path).records] == [0]
 
 
 # -- store-and-forward sink -----------------------------------------------
