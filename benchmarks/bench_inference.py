@@ -1,4 +1,5 @@
-"""Inference — compiled plans vs. the reference path, serial vs. workers.
+"""Inference — compiled plans vs. the reference path, and the cost of
+observability on the serving replay.
 
 Measures single-image latency and batched throughput for every
 deployable model (CNN, RNN, the three privacy dCNNs, and the full
@@ -6,9 +7,7 @@ ensemble), comparing the compiled plans (``numpy-compiled``, the one
 serving inference path) against the ``reference`` backend, which runs
 the plain training-style layer forward with backward caches.  A second
 section replays concurrent drives through the serving stack with
-``--workers 0`` (in-process) vs. persistent shared-memory workers sized
-from the host's CPU count (cores minus one, at least one — the
-executor's own default) to measure the parallel executor.
+observability on and off to measure what metrics and tracing cost.
 
 Runs two ways:
 
@@ -20,11 +19,8 @@ Runs two ways:
   which writes ``BENCH_inference.json`` and exits non-zero if a gate
   fails.  Gates: the compiled ensemble must clear ``ENSEMBLE_FLOOR``
   (2x) over the reference at batch 32 — 1.2x in ``--quick`` smoke mode
-  — and the worker replay must clear ``PARALLEL_FLOOR`` (1.5x) *when
-  the host has at least two cores*; on a single-core host that gate is
-  recorded as a structured skip (``{"skipped": true, "reason": ...,
-  "cpu_count": N}``) with the numbers still measured and written
-  honestly.
+  — and observability must cost at most ``METRICS_OVERHEAD_LIMIT`` (5%)
+  of replay throughput.
 """
 
 from __future__ import annotations
@@ -40,10 +36,9 @@ import numpy as np
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 
-#: Acceptance floors (full run / CI smoke / parallel replay).
+#: Acceptance floors (full run / CI smoke).
 ENSEMBLE_FLOOR = 2.0
 SMOKE_FLOOR = 1.2
-PARALLEL_FLOOR = 1.5
 
 #: Max fractional throughput loss the observability layer may cost.
 METRICS_OVERHEAD_LIMIT = 0.05
@@ -102,14 +97,6 @@ def _compiled_vs_reference(fn, *, repeats: int = 3) -> tuple[float, float]:
     return compiled, reference
 
 
-def parallel_workers() -> int:
-    """Worker count for the parallel gate: the executor's own default
-    (one core left for the dispatching parent), at least one."""
-    from repro.serving.executor import default_worker_count
-
-    return max(1, default_worker_count())
-
-
 def run_model_benchmarks(*, batch: int = BATCH, repeats: int = 3) -> dict:
     """Latency + throughput rows for every deployable forward pass."""
     ensemble, students, dataset = inference_models()
@@ -146,32 +133,6 @@ def run_model_benchmarks(*, batch: int = BATCH, repeats: int = 3) -> dict:
     return rows
 
 
-def run_parallel_benchmark(*, drivers: int = 16, duration: float = 4.0,
-                           workers: int | None = None,
-                           seed: int = 5) -> dict:
-    """Serving replay throughput, in-process vs. persistent workers."""
-    from repro.serving import replay_concurrent_drives
-
-    if workers is None:
-        workers = parallel_workers()
-    ensemble, _, _ = inference_models()
-    serial = replay_concurrent_drives(
-        ensemble, drivers=drivers, duration=duration, seed=seed, workers=0)
-    pooled = replay_concurrent_drives(
-        ensemble, drivers=drivers, duration=duration, seed=seed,
-        workers=workers)
-    speedup = (pooled.throughput_rps / serial.throughput_rps
-               if serial.throughput_rps else float("inf"))
-    return {
-        "drivers": drivers,
-        "duration_s": duration,
-        "workers": workers,
-        "serial_rps": round(serial.throughput_rps, 1),
-        "parallel_rps": round(pooled.throughput_rps, 1),
-        "speedup": round(speedup, 2),
-    }
-
-
 def run_metrics_overhead_benchmark(*, drivers: int = 8,
                                    duration: float = 2.0,
                                    repeats: int = 4, seed: int = 7) -> dict:
@@ -193,7 +154,7 @@ def run_metrics_overhead_benchmark(*, drivers: int = 8,
     def rps(observability: bool) -> float:
         return replay_concurrent_drives(
             ensemble, drivers=drivers, duration=duration, seed=seed,
-            workers=0, observability=observability).throughput_rps
+            observability=observability).throughput_rps
 
     baseline = 0.0
     instrumented = 0.0
@@ -215,8 +176,6 @@ def run_all(*, quick: bool = False) -> dict:
     cpu_count = os.cpu_count() or 1
     repeats = 2 if quick else 3
     models = run_model_benchmarks(repeats=repeats)
-    parallel = run_parallel_benchmark(
-        drivers=8 if quick else 16, duration=2.0 if quick else 4.0)
     overhead = run_metrics_overhead_benchmark(
         drivers=8 if quick else 16, duration=2.0 if quick else 4.0,
         repeats=6)
@@ -227,22 +186,6 @@ def run_all(*, quick: bool = False) -> dict:
             "value": models["ensemble"]["speedup"],
             "passed": models["ensemble"]["speedup"] >= ensemble_floor,
             "skipped": False,
-        },
-        "parallel_replay": {
-            "floor": PARALLEL_FLOOR,
-            "value": parallel["speedup"],
-            # A 1-core host cannot speed anything up by adding processes;
-            # gate only where the hardware makes the claim testable.
-            "passed": (parallel["speedup"] >= PARALLEL_FLOOR
-                       if cpu_count >= 2 else None),
-            "skipped": cpu_count < 2,
-            "cpu_count": cpu_count,
-            "status": ("gated" if cpu_count >= 2
-                       else f"skipped: single-core host ({cpu_count} cpu)"),
-            **({} if cpu_count >= 2 else
-               {"reason": "multi-core speedup is untestable on a "
-                          f"{cpu_count}-cpu host; parity still holds "
-                          "(verdicts are bitwise-identical to workers=0)"}),
         },
         "metrics_overhead": {
             "floor": METRICS_OVERHEAD_LIMIT,
@@ -264,7 +207,6 @@ def run_all(*, quick: bool = False) -> dict:
         "host": host_provenance(),
         "batch": BATCH,
         "models": models,
-        "parallel_replay": parallel,
         "metrics_overhead": overhead,
         "gates": gates,
     }
@@ -285,19 +227,13 @@ def format_report(report: dict) -> str:
             f"  {name:<10} {row['compiled_s']:>8.4f}s "
             f"{row['reference_s']:>9.4f}s "
             f"{row['speedup']:>7.2f}x {row['throughput_ips']:>8.1f} {latency}")
-    par = report["parallel_replay"]
+    ovh = report["metrics_overhead"]
     lines.append(
-        f"  replay     serial {par['serial_rps']:.1f} rps   "
-        f"{par['workers']} workers {par['parallel_rps']:.1f} rps   "
-        f"{par['speedup']:.2f}x")
-    if "metrics_overhead" in report:
-        ovh = report["metrics_overhead"]
-        lines.append(
-            f"  obs        off {ovh['baseline_rps']:.1f} rps   "
-            f"on {ovh['instrumented_rps']:.1f} rps   "
-            f"overhead {100 * ovh['overhead_fraction']:.1f}%")
+        f"  obs        off {ovh['baseline_rps']:.1f} rps   "
+        f"on {ovh['instrumented_rps']:.1f} rps   "
+        f"overhead {100 * ovh['overhead_fraction']:.1f}%")
     for name, gate in report["gates"].items():
-        verdict = {True: "PASS", False: "FAIL", None: "SKIP"}[gate["passed"]]
+        verdict = "PASS" if gate["passed"] else "FAIL"
         status = gate.get("status", "gated")
         unit = gate.get("unit", "x")
         lines.append(f"  gate {name}: {gate['value']:.2f}{unit} vs floor "
@@ -306,9 +242,8 @@ def format_report(report: dict) -> str:
 
 
 def gates_pass(report: dict) -> bool:
-    """True when no applicable gate failed (skipped gates don't fail)."""
-    return all(gate["passed"] is not False
-               for gate in report["gates"].values())
+    """True when every gate passed."""
+    return all(gate["passed"] for gate in report["gates"].values())
 
 
 # -- pytest entry points -----------------------------------------------------
@@ -330,17 +265,6 @@ def test_metrics_overhead_within_limit(benchmark):
                                                repeats=6),
         rounds=1, iterations=1)
     assert report["overhead_fraction"] <= METRICS_OVERHEAD_LIMIT
-
-
-def test_parallel_replay_not_slower_than_floor(benchmark):
-    """Worker replay clears its floor wherever the host has the cores."""
-    report = benchmark.pedantic(
-        lambda: run_parallel_benchmark(drivers=8, duration=2.0),
-        rounds=1, iterations=1)
-    if (os.cpu_count() or 1) >= 2:
-        assert report["speedup"] >= PARALLEL_FLOOR
-    else:
-        assert report["parallel_rps"] > 0  # parallel path works, at least
 
 
 # -- script entry point (CI bench-inference-smoke job) -----------------------

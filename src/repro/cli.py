@@ -213,8 +213,7 @@ def _cmd_serving_chaos(args: argparse.Namespace) -> int:
           f"(seed {seed})...")
     report = run_serving_chaos(
         ensemble, shards=args.shards, drivers=args.drivers,
-        duration=args.duration, seed=args.seed, workers=args.workers,
-        scenario=scenario)
+        duration=args.duration, seed=args.seed, scenario=scenario)
     print()
     print(report.format_report())
     if args.metrics_out:
@@ -344,7 +343,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     duration = scenario.duration if scenario is not None else args.duration
     print(f"Replaying {drivers} concurrent scripted drives "
           f"({duration:.0f} s, micro-batch {args.max_batch or 'auto'}, "
-          f"deadline {args.deadline_ms:.0f} ms, {args.workers} worker(s), "
+          f"deadline {args.deadline_ms:.0f} ms, "
           f"backend {args.backend}, "
           f"{args.kill_camera} camera(s) killed mid-replay)...")
     from repro.nn.runtime import profiled_layers
@@ -354,8 +353,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ensemble, drivers=args.drivers, duration=args.duration,
             max_batch=args.max_batch, max_delay=args.deadline_ms / 1e3,
             kill_camera=args.kill_camera, seed=args.seed,
-            workers=args.workers, backend=args.backend,
-            scenario=scenario)
+            backend=args.backend, scenario=scenario)
     print()
     print(report.format_report())
     from repro.obs import bundle, render_text, render_traces, save_snapshot
@@ -512,10 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sabotaged canary) against on-device agents")
     chaos.add_argument("--shards", type=int, default=3,
                        help="serving mode: shards in the supervised fleet")
-    chaos.add_argument("--workers", type=int, default=0,
-                       help="persistent executor workers per shard server "
-                            "(with --serving; adds a worker_kill fault "
-                            "when > 0)")
     chaos.add_argument("--drivers", type=int, default=6,
                        help="serving mode: concurrent driver sessions")
     chaos.add_argument("--agents", type=int, default=3,
@@ -568,11 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="micro-batch flush deadline in milliseconds")
     serve.add_argument("--kill-camera", type=int, default=2,
                        help="drivers whose camera stream dies mid-replay")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="persistent worker processes executing flushed "
-                            "batches over shared-memory rings (0 runs "
-                            "in-process; any N delivers the identical "
-                            "verdict sequence)")
     serve.add_argument("--backend", default=DEFAULT_BACKEND,
                        choices=backend_names(),
                        help="inference backend: numpy-compiled (fused "

@@ -72,18 +72,6 @@ class JournalError(ServingError):
     """The durable verdict journal is unusable (corrupt header, bad path)."""
 
 
-class RingError(ServingError):
-    """A shared-memory ring buffer was misused or sized inconsistently."""
-
-
-class TornSlotError(RingError):
-    """A ring slot's seqlock stamps disagree (writer died mid-publish)."""
-
-
-class WorkerCrashError(ServingError):
-    """A persistent inference worker died with requests in flight."""
-
-
 class EdgeError(ReproError):
     """Base class for edge-agent runtime errors."""
 

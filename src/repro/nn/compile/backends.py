@@ -145,26 +145,3 @@ def using_backend(name: str):
             del _LOCAL.name
 
 
-def warm_plans(model, name: str, *, images=None, imu=None) -> None:
-    """Pin a model's compiled plans for ``name`` by running a probe pass.
-
-    Plans are keyed by (backend, input shape) and never survive
-    pickling, so a freshly spawned executor worker starts cold — its
-    first real batch would pay graph extraction and arena planning
-    inside a request's latency.  Calling this with representative
-    1-row inputs at spawn moves that cost out of the serving path;
-    after it returns, every plan the probe shapes exercise is resident.
-
-    ``images`` / ``imu`` are single-sample batches (leading axis 1) in
-    the dtypes the serving path will send; either may be omitted when
-    that modality will never reach this worker.
-    """
-    kwargs = {}
-    if images is not None:
-        kwargs["images"] = images
-    if imu is not None:
-        kwargs["imu"] = imu
-    if not kwargs:
-        raise ConfigurationError("warm_plans needs images and/or imu probes")
-    with using_backend(name):
-        model.predict_degraded(**kwargs)

@@ -22,8 +22,7 @@ per batch size in a bounded LRU; rebinding costs view slicing only.
 
 The arena makes a plan single-flight: **one forward per plan at a
 time**.  Two concurrent runs would share scratch memory, the same rule
-the layer forward's backward caches impose.  Forked executor workers
-each own a copy-on-write arena.
+the layer forward's backward caches impose.
 """
 
 from __future__ import annotations

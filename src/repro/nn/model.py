@@ -211,8 +211,8 @@ class NeuralNetwork:
         self._plans.clear()
 
     def __getstate__(self) -> dict:
-        # Plans hold weight snapshots and bound arenas — recompiled
-        # lazily after unpickling (e.g. in forked executor workers).
+        # Plans hold weight snapshots and bound arenas — never pickled;
+        # recompiled lazily on the first inference after unpickling.
         state = self.__dict__.copy()
         state["_plans"] = {}
         return state

@@ -9,8 +9,7 @@ attributed to the source layer names.  Disabled (the default), the cost
 is one integer check per forward.
 
 The switch is process-global: the forward pass is single-threaded per
-plan, and forked executor workers inherit the setting while their
-samples drain back to the parent through the fork-aware registry.
+plan.
 """
 
 from __future__ import annotations

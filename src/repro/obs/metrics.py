@@ -13,7 +13,7 @@ Three instrument kinds, deliberately Prometheus-shaped:
 * :class:`Histogram` — fixed-bucket distribution with streaming
   count/sum/min/max and interpolated quantile estimates (p50/p95/p99 of
   stage latencies).  Fixed buckets keep ``observe`` O(log buckets) and
-  make merged histograms exact, which the fork-merge path relies on.
+  make merged histograms exact.
 
 Concurrency model: the registry guards its name table with one lock and
 every instrument guards its own values with another, so writers on many
@@ -21,12 +21,11 @@ threads never corrupt a snapshot and a snapshot never observes a
 half-applied histogram update.
 
 Fork model: :func:`get_registry` is pid-checked — the first access in a
-forked worker gets a *fresh* registry rather than the parent's inherited
-copy, so worker recordings are clean deltas.  Workers report via
-:meth:`MetricsRegistry.drain` and parents fold results back in with
-:meth:`MetricsRegistry.merge`; merge adds counters and histograms and
-takes the max of gauges, all associative, so any merge order yields the
-same totals.
+forked child gets a *fresh* registry rather than the parent's inherited
+copy.  :meth:`MetricsRegistry.merge` folds one registry's snapshot into
+another (a server's export merges its private registry with the process
+default); merge adds counters and histograms and takes the max of
+gauges, all associative, so any merge order yields the same totals.
 """
 
 from __future__ import annotations
@@ -45,14 +44,6 @@ LATENCY_BUCKETS = (
 
 #: Buckets for small-integer distributions (batch sizes, queue depths).
 COUNT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
-#: Microsecond-scale buckets for shared-memory handoff latencies — a ring
-#: publish-to-pickup hop is orders of magnitude below LATENCY_BUCKETS'
-#: floor, so it needs its own resolution to be visible at all.
-HANDOFF_BUCKETS = (
-    0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.1,
-)
 
 _LabelItems = tuple[tuple[str, str], ...]
 
@@ -89,10 +80,6 @@ class Counter:
     def _state(self) -> dict:
         with self._lock:
             return {"value": self._value}
-
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
 
     def _merge(self, state: dict) -> None:
         with self._lock:
@@ -137,12 +124,8 @@ class Gauge:
         with self._lock:
             return {"value": self._value}
 
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
     def _merge(self, state: dict) -> None:
-        # max is associative and commutative, which keeps fork-merge
+        # max is associative and commutative, which keeps merge
         # order-independent; sum would double peaks, last-wins would race.
         with self._lock:
             self._value = max(self._value, state["value"])
@@ -256,14 +239,6 @@ class Histogram:
                 "max": self._max if self._count else None,
             }
 
-    def _reset(self) -> None:
-        with self._lock:
-            self._counts = [0] * (len(self.buckets) + 1)
-            self._count = 0
-            self._sum = 0.0
-            self._min = float("inf")
-            self._max = float("-inf")
-
     def _merge(self, state: dict) -> None:
         if list(state["buckets"]) != list(self.buckets):
             raise ConfigurationError(
@@ -344,24 +319,12 @@ class MetricsRegistry:
             entries.append(entry)
         return {"metrics": entries}
 
-    def drain(self) -> dict:
-        """Snapshot, then zero every instrument (worker delta reporting).
-
-        Values recorded between the snapshot and the reset of one
-        instrument are lost; drain is meant for single-threaded worker
-        processes reporting between batches, where no such window exists.
-        """
-        snap = self.snapshot()
-        for metric in self.metrics():
-            metric._reset()
-        return snap
-
     def merge(self, snapshot: dict) -> None:
-        """Fold a snapshot (usually a worker's drain) into this registry.
+        """Fold another registry's snapshot into this one.
 
         Counters and histograms add; gauges take the max.  Unknown
-        instruments are created on the fly, so a parent can merge from a
-        worker that registered metrics the parent never touched.
+        instruments are created on the fly, so a registry can absorb
+        series it never registered itself.
         """
         for entry in snapshot.get("metrics", []):
             kind, labels = entry["kind"], entry.get("labels", {})
@@ -395,9 +358,8 @@ _DEFAULT_LOCK = threading.Lock()
 def get_registry() -> MetricsRegistry:
     """The process-default registry; fresh after a fork.
 
-    The pid check makes forked executor workers start from an empty
-    registry instead of the parent's inherited copy, so their
-    :meth:`~MetricsRegistry.drain` reports are true deltas.
+    The pid check makes a forked child start from an empty registry
+    instead of recording into the parent's inherited copy.
     """
     global _DEFAULT, _DEFAULT_PID
     pid = os.getpid()

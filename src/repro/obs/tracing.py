@@ -4,7 +4,7 @@ A *trace* follows one request through the pipeline's stages — for a
 serving request: admission, queue, forward, combine — as a flat list of
 named :class:`Span`\\ s sharing a trace id.  The id is minted where the
 request enters the system (``InferenceServer.request_verdict``), rides on
-the request object through the scheduler and executor, and every stage
+the request object through the scheduler and dispatch, and every stage
 appends its span with either the context-manager API (the stage wraps its
 own work) or :meth:`Tracer.record` (the stage already measured the
 interval, e.g. queue wait between submit and flush).

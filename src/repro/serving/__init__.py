@@ -19,12 +19,9 @@ executor hangs, sink blackholes and full disks.
 
 from repro.exceptions import (
     JournalError,
-    RingError,
     ServingError,
     ShardTimeoutError,
     ShardUnavailableError,
-    TornSlotError,
-    WorkerCrashError,
 )
 from repro.serving.admission import (
     AdmissionController,
@@ -43,11 +40,6 @@ from repro.serving.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.serving.executor import (
-    ExecutorTicket,
-    ParallelExecutor,
-    default_worker_count,
-)
 from repro.serving.journal import (
     JournalReplay,
     StoreAndForwardSink,
@@ -56,7 +48,6 @@ from repro.serving.journal import (
     replay_journal,
 )
 from repro.serving.registry import ModelRecord, ServingModelRegistry
-from repro.serving.ring import ClaimedSlot, PoppedSlot, SlotRing
 from repro.serving.replay import (
     DriverTrace,
     ReplayReport,
@@ -90,7 +81,7 @@ from repro.serving.supervisor import (
 
 __all__ = [
     "ServingError", "ShardUnavailableError", "ShardTimeoutError",
-    "JournalError", "RingError", "TornSlotError", "WorkerCrashError",
+    "JournalError",
     "DriverSession", "SessionCounters", "StreamState", "IMU_FEATURES",
     "ALERT_ADJACENT_BOOST", "DEGRADED_BOOST",
     "InferenceRequest", "MicroBatch", "MicroBatchScheduler",
@@ -98,8 +89,6 @@ __all__ = [
     "ServingModelRegistry", "ModelRecord",
     "AdmissionController", "AdmissionDecision", "AdmissionStats",
     "InferenceServer", "ServerStats", "ServingVerdict",
-    "ParallelExecutor", "ExecutorTicket", "default_worker_count",
-    "SlotRing", "ClaimedSlot", "PoppedSlot",
     "ReplayReport", "DriverTrace", "replay_concurrent_drives",
     "synthesize_trace",
     "VerdictJournal", "VerdictRecord", "JournalReplay", "replay_journal",

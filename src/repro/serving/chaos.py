@@ -15,10 +15,7 @@ the serving fault kinds:
   store-and-forward must buffer and drain on reconnect without
   double-delivering;
 * ``journal_disk_full`` — the journal's disk refuses writes; appends
-  must degrade to the in-memory overflow and drain back afterwards;
-* ``worker_kill`` — a persistent executor worker process takes a real
-  SIGKILL; in-flight requests must requeue exactly once through the
-  dispatch-failure path and the slot must respawn with backoff.
+  must degrade to the in-memory overflow and drain back afterwards.
 
 :func:`run_serving_chaos` replays scripted drives through the supervised
 fleet under such a schedule and audits the one invariant everything else
@@ -52,11 +49,6 @@ class ServingChaosHarness:
     the restart backoff exists for.  ``executor_hang``,
     ``sink_blackhole`` and ``journal_disk_full`` are level-triggered:
     asserted while the event is active, cleared when it ends.
-    ``worker_kill`` is edge-triggered per event: the first live worker
-    process of the target shard's executors takes a real SIGKILL once
-    per scheduled window (retried across steps until an executor has
-    actually spawned workers to kill — lazily spawned fleets must not
-    let the fault fizzle).
     """
 
     def __init__(self, schedule: FaultSchedule,
@@ -66,23 +58,6 @@ class ServingChaosHarness:
         self.log: list[tuple[float, str, str, str]] = []
         self.kills = 0
         self.hangs = 0
-        self.worker_kills = 0
-        self._worker_killed: set = set()
-
-    def _apply_worker_kill(self, name: str, handle, now: float) -> None:
-        event = self.schedule.active_for("worker_kill", name, now)
-        if event is None or event in self._worker_killed:
-            return
-        server = handle.server
-        if server is None or handle.state != SHARD_UP:
-            return
-        for executor in getattr(server, "_executors", {}).values():
-            for index in range(executor.workers):
-                if executor.kill_worker(index) is not None:
-                    self.worker_kills += 1
-                    self._worker_killed.add(event)
-                    self.log.append((now, "worker_kill", name, "on"))
-                    return
 
     def apply(self, now: float) -> None:
         """Reconcile fleet state with the schedule at virtual ``now``."""
@@ -104,7 +79,6 @@ class ServingChaosHarness:
                 self.log.append((now, "executor_hang", name, "off"))
             if handle.state == SHARD_UP:
                 handle.hung = should_hang
-            self._apply_worker_kill(name, handle, now)
         sink = self.supervisor.sink
         blackhole = self.schedule.active_for("sink_blackhole", "*", now)
         if (blackhole is not None) != sink.blackholed:
@@ -119,17 +93,13 @@ class ServingChaosHarness:
                              "on" if journal.disk_full else "off"))
 
 
-def standard_serving_schedule(duration: float = 20.0, *,
-                              worker_kill: bool = False) -> FaultSchedule:
+def standard_serving_schedule(duration: float = 20.0) -> FaultSchedule:
     """The canonical serving-resilience scenario for one chaos run:
     a shard killed mid-drive, a second shard hanging later, the
     downstream sink blackholed across the failover, and the journal
     disk filling up inside the blackhole window — all four serving
-    fault kinds, overlapping on purpose.  With ``worker_kill`` (for
-    fleets running persistent executor workers) a worker process on an
-    otherwise-healthy shard is SIGKILLed inside the sink-blackhole
-    window too."""
-    events = [
+    fault kinds, overlapping on purpose."""
+    return FaultSchedule([
         FaultEvent(0.30 * duration, 0.34 * duration, "shard_kill",
                    "shard-1"),
         FaultEvent(0.55 * duration, 0.65 * duration, "executor_hang",
@@ -137,11 +107,7 @@ def standard_serving_schedule(duration: float = 20.0, *,
         FaultEvent(0.40 * duration, 0.55 * duration, "sink_blackhole", "*"),
         FaultEvent(0.45 * duration, 0.55 * duration, "journal_disk_full",
                    "*"),
-    ]
-    if worker_kill:
-        events.append(FaultEvent(0.35 * duration, 0.55 * duration,
-                                 "worker_kill", "shard-0"))
-    return FaultSchedule(events)
+    ])
 
 
 @dataclass
@@ -152,7 +118,6 @@ class ServingChaosReport:
     drivers: int
     duration: float
     seed: int
-    workers: int
     requested: int
     delivered: int
     deferred: int
@@ -161,7 +126,6 @@ class ServingChaosReport:
     downstream_duplicates: int
     shard_kills: int
     shard_hangs: int
-    worker_kills: int
     shard_deaths: int
     restarts: int
     migrations: int
@@ -195,8 +159,7 @@ class ServingChaosReport:
             f"Serving chaos — {self.drivers} drivers on {self.shards} "
             f"shards, {self.duration:.0f} s drive (seed {self.seed})",
             f"  faults     kills {self.shard_kills}   hangs "
-            f"{self.shard_hangs}   worker kills {self.worker_kills}   "
-            f"deaths detected {self.shard_deaths}",
+            f"{self.shard_hangs}   deaths detected {self.shard_deaths}",
             f"  recovery   restarts {self.restarts}   migrations "
             f"{self.migrations}   retries {self.retries}   "
             f"times [{recoveries}] (bound {self.recovery_bound:.2f}s)",
@@ -227,7 +190,7 @@ class ServingChaosReport:
 
 def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
                       duration: float = 20.0, grid_period: float = 0.25,
-                      seed: int = 0, workers: int = 0,
+                      seed: int = 0,
                       schedule: FaultSchedule | None = None,
                       recovery_bound: float | None = None,
                       script: DriveScript | None = None,
@@ -248,12 +211,8 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
             drive shape; the seed fixes the synthetic traces, so a run
             is reproducible end to end (the schedule is already
             deterministic).
-        workers: persistent executor workers per shard server (0 =
-            in-process).  With workers the default schedule adds a
-            ``worker_kill`` event — a real SIGKILL against a worker
-            process — and the audit demands it engaged.
         schedule: fault script; :func:`standard_serving_schedule` by
-            default (with a worker kill when ``workers`` > 0).
+            default.
         recovery_bound: maximum acceptable shard death-to-restart time;
             defaults to watchdog latency + maximum restart backoff +
             one grid step.
@@ -281,11 +240,8 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
     if drivers < 1 or duration <= 0 or grid_period <= 0:
         raise ConfigurationError(
             "need drivers >= 1, duration > 0, grid_period > 0")
-    if workers < 0:
-        raise ConfigurationError(f"workers must be >= 0, got {workers}")
     if schedule is None:
-        schedule = standard_serving_schedule(duration,
-                                             worker_kill=workers > 0)
+        schedule = standard_serving_schedule(duration)
     silent_after = 4.0 * grid_period
     backoff_base = 4.0 * grid_period
     backoff_cap = 16.0 * grid_period
@@ -306,7 +262,7 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
     supervisor = ShardSupervisor(
         model, shards=shards,
         server_options={"max_batch": drivers, "max_delay": grid_period / 10,
-                        "queue_capacity": 8 * drivers, "workers": workers},
+                        "queue_capacity": 8 * drivers},
         degraded_after=2.0 * grid_period, silent_after=silent_after,
         checkpoint_interval=2.0 * grid_period,
         backoff_base=backoff_base, backoff_cap=backoff_cap,
@@ -396,12 +352,6 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
                 "killed (chaos did not engage)")
         if has_kill and stats["restarts"] == 0:
             violations.append("a shard died but was never restarted")
-        has_worker_kill = any(e.kind == "worker_kill"
-                              for e in schedule.events)
-        if has_worker_kill and harness.worker_kills == 0:
-            violations.append(
-                "schedule contains worker_kill events but no worker was "
-                "killed (chaos did not engage)")
         if any(e.kind == "camera_blackout" for e in schedule.events) \
                 and masked_frames == 0:
             violations.append(
@@ -424,7 +374,7 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
 
         return ServingChaosReport(
             shards=shards, drivers=drivers, duration=float(duration),
-            seed=seed, workers=int(workers),
+            seed=seed,
             requested=len(requested_ids),
             delivered=len(delivered_ids),
             deferred=len(deferred_ids),
@@ -433,7 +383,6 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
             downstream_duplicates=downstream_dupes,
             shard_kills=harness.kills,
             shard_hangs=harness.hangs,
-            worker_kills=harness.worker_kills,
             shard_deaths=stats["deaths"],
             restarts=stats["restarts"],
             migrations=stats["migrations"],

@@ -17,9 +17,14 @@ The journal is the durability half of that promise:
   garbage, and duplicate appends — a retried dispatch journals twice —
   are deduplicated by ``(session_id, sequence)``, the (driver, window)
   identity of a verdict;
-* when the disk itself fails (ENOSPC chaos), appends degrade to an
-  in-memory overflow buffer that drains back to disk on recovery, so a
-  full disk weakens durability without dropping records.
+* reopening a journal cuts a torn tail back to the last verified frame,
+  so appends after a crash land on clean framing instead of behind a
+  tear that would hide them from replay;
+* when the disk itself fails (ENOSPC), appends degrade to an in-memory
+  overflow buffer that every later append retries, in order, before
+  writing its own record, so a full disk weakens durability without
+  dropping records; :meth:`VerdictJournal.close` drains it and raises
+  if records are still stuck in memory.
 
 :class:`StoreAndForwardSink` builds the delivery half on top: verdicts
 are journaled first, then forwarded to the downstream sink; when the
@@ -169,7 +174,8 @@ class VerdictJournal:
 
     Args:
         path: journal file (created/appended; parent directory must
-            exist).
+            exist).  A torn final frame left by a crash is truncated on
+            open; ``torn_truncated`` counts it.
         fsync_every: records between disk barriers.  Every frame is
             flushed to the OS as it is appended, so a process crash
             loses nothing appended; power loss can lose the frames
@@ -187,11 +193,14 @@ class VerdictJournal:
         self.path = str(path)
         self.fsync_every = int(fsync_every)
         try:
+            self.torn_truncated = self._truncate_torn_tail()
             self._handle = open(self.path, "ab")
         except OSError as error:
             raise JournalError(f"cannot open journal {path!r}: {error}") \
                 from error
         self._since_sync = 0
+        #: Set by :meth:`simulate_disk_full`: appends park in memory
+        #: without touching the disk until it is cleared.
         self._disk_full = False
         self._overflow: list[VerdictRecord] = []
         self._unsynced: list[VerdictRecord] = []
@@ -213,16 +222,25 @@ class VerdictJournal:
             "Records buffered in memory because the journal disk was full")
         self._obs_bytes.set(self.size_bytes)
 
+    def _truncate_torn_tail(self) -> int:
+        """Cut a partial final frame back to the last verified frame."""
+        replay = replay_journal(self.path)
+        if replay.torn:
+            with open(self.path, "r+b") as handle:
+                handle.truncate(replay.bytes_read)
+        return replay.torn
+
     # -- fault injection -------------------------------------------------
     def simulate_disk_full(self, full: bool) -> None:
         """Chaos hook: make appends fail as if the disk had no space."""
         self._disk_full = bool(full)
-        if not self._disk_full:
-            self._drain_overflow()
+        self._drain_overflow()
 
     @property
     def disk_full(self) -> bool:
-        return self._disk_full
+        """Whether appends are parking in memory: the chaos hook is set,
+        or a real write error left records the next append retries."""
+        return self._disk_full or bool(self._overflow)
 
     @property
     def overflow_depth(self) -> int:
@@ -235,25 +253,14 @@ class VerdictJournal:
 
         With a full (or failing) disk the record is kept in the memory
         overflow buffer instead — weaker durability, zero loss within
-        the process — and drains to disk in order once space returns.
+        the process.  Every append first retries the parked records in
+        order, so they drain as soon as a write succeeds again.
         """
         self.appended += 1
         self._obs_appends.inc()
-        if self._disk_full:
-            self._overflow.append(record)
-            self.overflowed += 1
-            self._obs_overflow.inc()
-            return False
         self._drain_overflow()
-        if self._disk_full:
-            # The drain itself tripped disk-full; the new record must
-            # queue behind the still-parked older records, never jump
-            # them onto disk.
-            self._overflow.append(record)
-            self.overflowed += 1
-            self._obs_overflow.inc()
-            return False
-        if not self._write(record):
+        # A record never jumps still-parked older records onto disk.
+        if self._disk_full or self._overflow or not self._write(record):
             self._overflow.append(record)
             self.overflowed += 1
             self._obs_overflow.inc()
@@ -268,7 +275,6 @@ class VerdictJournal:
             self._handle.write(frame_record(record))
             self._handle.flush()
         except OSError:
-            self._disk_full = True
             return False
         self._unsynced.append(record)
         self._obs_bytes.set(self.size_bytes)
@@ -299,7 +305,6 @@ class VerdictJournal:
             self._handle.flush()
             os.fsync(self._handle.fileno())
         except OSError:
-            self._disk_full = True
             if self._unsynced:
                 self._overflow[:0] = self._unsynced
                 self.overflowed += len(self._unsynced)
@@ -332,9 +337,21 @@ class VerdictJournal:
         return replay_journal(self.path)
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self.sync()
-            self._handle.close()
+        """Drain the overflow, sync and close the file.
+
+        Raises :class:`JournalError` when records are still parked in
+        memory: they never reached disk and close does not pretend they
+        did.
+        """
+        if self._handle.closed:
+            return
+        self._drain_overflow()
+        self.sync()
+        self._handle.close()
+        if self._overflow:
+            raise JournalError(
+                f"journal {self.path!r} closed with "
+                f"{len(self._overflow)} records still in memory")
 
 
 class StoreAndForwardSink:

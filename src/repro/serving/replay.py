@@ -42,7 +42,6 @@ class ReplayReport:
     drivers: int
     duration: float
     grid_period: float
-    workers: int
     instants: int
     requests: int
     verdicts: int
@@ -77,8 +76,7 @@ class ReplayReport:
         lines = [
             f"Serving replay — {self.drivers} concurrent drivers, "
             f"{self.duration:.0f} s at {1 / self.grid_period:.0f} Hz "
-            f"({self.instants} grid instants, {self.workers} "
-            f"worker{'s' if self.workers != 1 else ''})",
+            f"({self.instants} grid instants)",
             f"  requests   {self.requests}   verdicts {self.verdicts}   "
             f"degraded {self.degraded_verdicts}   rejected {self.rejected}"
             f"   shed {self.shed}",
@@ -126,7 +124,6 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
                              seed: int = 0,
                              script: DriveScript | None = None,
                              scenario: ScenarioSpec | None = None,
-                             workers: int = 0,
                              backend: str = DEFAULT_BACKEND,
                              observability: bool = True) -> ReplayReport:
     """Replay ``drivers`` concurrent scripted drives through a server.
@@ -154,10 +151,6 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
             with ``script``).  When omitted, the replay runs the default
             paper-sweep spec — bit-identical with the pre-DSL hardcoded
             script.
-        workers: persistent worker processes for flushed batches
-            (0 = in-process, bit-exact with the pre-executor replay;
-            N >= 1 shards batches across N long-lived workers and
-            delivers the same verdict sequence).
         backend: inference backend for dispatch when ``model`` is a bare
             model (a pre-built registry keeps its own backend config);
             ``reference`` runs the plain layer forward (the oracle).
@@ -197,9 +190,7 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
         max_delay=max_delay,
         queue_capacity=(4 * drivers if queue_capacity is None
                         else queue_capacity),
-        workers=workers,
         observability=observability)
-    server.warm_executors()
     session_ids = [server.open_session(trace.driver_id)
                    for trace in traces]
     for sid in session_ids:
@@ -259,7 +250,6 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
         drivers=drivers,
         duration=float(duration),
         grid_period=float(grid_period),
-        workers=int(workers),
         instants=len(instants),
         requests=stats.requests,
         verdicts=stats.verdicts,

@@ -24,7 +24,7 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,10 +127,6 @@ class SchedulerStats:
         self._depth_peak = registry.gauge("serving_queue_depth_peak",
                                           "High-watermark of queue depth",
                                           sched=label)
-        self._inflight = registry.gauge(
-            "serving_inflight_requests",
-            "Requests handed to executors and not yet collected",
-            sched=label)
 
     # -- write API (scheduler-internal) ----------------------------------
     def incr(self, name: str, amount: int = 1) -> None:
@@ -144,9 +140,6 @@ class SchedulerStats:
     def record_depth(self, depth: int) -> None:
         self._depth.set(depth)
         self._depth_peak.set_max(depth)
-
-    def record_inflight(self, delta: int) -> None:
-        self._inflight.inc(delta)
 
     # -- read API (unchanged shape) --------------------------------------
     def __getattr__(self, name: str) -> int:
@@ -170,10 +163,6 @@ class SchedulerStats:
     @property
     def mean_batch_size(self) -> float:
         return self._batch_size.mean
-
-    @property
-    def inflight(self) -> int:
-        return int(self._inflight.value)
 
 
 class MicroBatchScheduler:
@@ -275,20 +264,6 @@ class MicroBatchScheduler:
                 self._queues.setdefault(request.group, []).insert(0, request)
                 self.stats.incr("requeued")
             self.stats.record_depth(self.depth)
-
-    def note_inflight(self, count: int) -> None:
-        """Account requests handed to an executor (async front-end).
-
-        Between a batch's submit and its collect the requests are
-        neither queued nor delivered; the inflight gauge is what makes
-        that window visible — admission keeps using queue depth, so
-        nothing here blocks or throttles submission.
-        """
-        self.stats.record_inflight(count)
-
-    def note_done(self, count: int) -> None:
-        """Account requests whose executor round-trip finished."""
-        self.stats.record_inflight(-count)
 
     def pop_expired(self, now: float) -> list[InferenceRequest]:
         """Remove and return every queued request past its deadline.

@@ -32,7 +32,6 @@ from repro.nn.compile.backends import using_backend
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import Span, Tracer
 from repro.serving.admission import AdmissionController, AdmissionDecision
-from repro.serving.executor import ParallelExecutor
 from repro.serving.registry import ServingModelRegistry
 from repro.serving.scheduler import (
     MODALITY_BOTH,
@@ -124,18 +123,6 @@ class InferenceServer:
             sheds lowest-priority work).
         admission: overload gatekeeper; built with defaults when omitted.
         window_steps: IMU window length for new sessions.
-        workers: persistent worker processes per model variant.  The
-            default of 0 runs in-process (bit-exact with the
-            pre-executor server); N >= 1 shards each flushed batch
-            across the long-lived workers of a
-            :class:`~repro.serving.executor.ParallelExecutor`, and
-            :meth:`step` turns into an async two-phase dispatch: every
-            due batch is *submitted* to the rings before any result is
-            collected, so batches overlap across worker sets while
-            admission and queueing (which never touch the workers)
-            stay non-blocking throughout.  Executors inherit a
-            variant's weights when first used, so a hot-swapped model
-            only takes effect after :meth:`close`.
         observability: when False the tracer and per-stage wall-clock
             histograms are disabled (accounting counters stay on) — the
             configuration the overhead benchmark compares against.
@@ -149,7 +136,6 @@ class InferenceServer:
                  queue_capacity: int = 256,
                  admission: AdmissionController | None = None,
                  window_steps: int = DEFAULT_WINDOW_STEPS,
-                 workers: int = 0,
                  observability: bool = True,
                  metrics: MetricsRegistry | None = None) -> None:
         self.registry = registry
@@ -163,7 +149,6 @@ class InferenceServer:
         self.admission = admission or AdmissionController(
             registry=self.metrics)
         self.window_steps = int(window_steps)
-        self.workers = int(workers)
         self.stats = ServerStats(self.metrics)
         label = self.stats.label
         self._stage = {
@@ -187,7 +172,6 @@ class InferenceServer:
         self._session_lock = threading.Lock()
         self._sessions: dict[str, DriverSession] = {}
         self._outboxes: dict[str, list[ServingVerdict]] = {}
-        self._executors: dict[str, ParallelExecutor] = {}
 
     @classmethod
     def for_model(cls, model, **options) -> "InferenceServer":
@@ -324,14 +308,6 @@ class InferenceServer:
         discarded).  Deadline-expired requests are popped before
         flushing and handed to :attr:`on_expire` — counted, traced,
         never silently dropped.
-
-        With workers, dispatch is two-phase: every due batch is
-        submitted to its executor's rings first (phase one — by the
-        time the first forward pass finishes, every worker already has
-        work), then results are collected in submission order (phase
-        two).  Collection order matching submission order is what keeps
-        the delivered verdict sequence identical to the in-process
-        path's — parallelism changes wall-clock, never the stream.
         """
         for request in self.scheduler.pop_expired(now):
             self.stats.incr("requests_expired")
@@ -339,20 +315,11 @@ class InferenceServer:
             if self.on_expire is not None:
                 self.on_expire(request)
         verdicts: list[ServingVerdict] = []
-        pending: list[tuple] = []
         for batch in self.scheduler.flush(now, force=force):
             try:
-                if self.workers > 0:
-                    pending.append(self._submit_batch(batch))
-                else:
-                    verdicts.extend(self._dispatch(batch, now))
+                verdicts.extend(self._dispatch(batch, now))
             except Exception as error:  # noqa: BLE001 — fault barrier
                 self._on_dispatch_failure(batch, error)
-        for entry in pending:
-            try:
-                verdicts.extend(self._complete_batch(entry, now))
-            except Exception as error:  # noqa: BLE001 — fault barrier
-                self._on_dispatch_failure(entry[0], error)
         return verdicts
 
     def _on_dispatch_failure(self, batch: MicroBatch,
@@ -384,90 +351,28 @@ class InferenceServer:
             self._outboxes[session_id] = []
         return outbox
 
-    def warm_executors(self) -> None:
-        """Pre-create the persistent executors for every variant.
-
-        Optional: executors are otherwise created lazily on a variant's
-        first dispatch.  Workers themselves spawn on the first submitted
-        batch either way — the input shapes size their rings.
-        """
-        if self.workers > 0:
-            for name in self.registry.names:
-                self._model_for(name)
-
     def close(self) -> None:
-        """Shut down the persistent workers and their shared memory."""
-        for executor in self._executors.values():
-            executor.close()
-        self._executors.clear()
+        """End of service; the in-process server holds nothing to release."""
 
-    def _model_for(self, model_key: str):
-        """The execution target for a batch: the model, or its executor."""
-        if self.workers <= 0:
-            return self.registry.get(model_key)
-        executor = self._executors.get(model_key)
-        if executor is None:
-            executor = ParallelExecutor(self.registry.get(model_key),
-                                        workers=self.workers,
-                                        backend=self.registry.backend_for(
-                                            model_key),
-                                        metrics=self.metrics)
-            self._executors[model_key] = executor
-        return executor
-
-    def _stacked_inputs(self, batch: MicroBatch
-                        ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The batch's model inputs as (images, imu) stacks."""
+    def _batch_inputs(self, batch: MicroBatch) -> dict[str, np.ndarray]:
+        """The batch's stacked inputs as ``predict_degraded`` kwargs."""
+        requests = batch.requests
         if batch.modality == MODALITY_BOTH:
-            return (np.stack([r.frame for r in batch.requests]),
-                    np.stack([r.window for r in batch.requests]))
+            return {"images": np.stack([r.frame for r in requests]),
+                    "imu": np.stack([r.window for r in requests])}
         if batch.modality == MODALITY_IMU:
-            return None, np.stack([r.window for r in batch.requests])
+            return {"imu": np.stack([r.window for r in requests])}
         if batch.modality == MODALITY_FRAMES:
-            return np.stack([r.frame for r in batch.requests]), None
+            return {"images": np.stack([r.frame for r in requests])}
         raise ServingError(f"unknown modality {batch.modality!r}")
-
-    def _submit_batch(self, batch: MicroBatch) -> tuple:
-        """Phase one of worker dispatch: publish the batch to the rings.
-
-        Returns the pending entry ``_complete_batch`` redeems.  The
-        requests are accounted as in-flight from here until collection;
-        nothing in this phase waits on a forward pass.
-        """
-        executor = self._model_for(batch.model_key)
-        forward_start = time.perf_counter() if self.observability else 0.0
-        images, imu = self._stacked_inputs(batch)
-        ticket = executor.submit(images=images, imu=imu)
-        self.scheduler.note_inflight(len(batch.requests))
-        return batch, executor, ticket, forward_start
-
-    def _complete_batch(self, entry: tuple, now: float
-                        ) -> list[ServingVerdict]:
-        """Phase two of worker dispatch: collect, then deliver."""
-        batch, executor, ticket, forward_start = entry
-        try:
-            result = executor.collect(ticket)
-        finally:
-            self.scheduler.note_done(len(batch.requests))
-            executor.ring_occupancy()   # refresh gauges post round-trip
-        combine_start = time.perf_counter() if self.observability else 0.0
-        if self.observability:
-            self._stage["forward"].observe(combine_start - forward_start)
-        return self._deliver(batch, result, now, forward_start,
-                             combine_start, executor.last_shards)
 
     def _dispatch(self, batch: MicroBatch, now: float
                   ) -> list[ServingVerdict]:
-        """In-process dispatch: forward pass and delivery in one call."""
-        model = self._model_for(batch.model_key)
+        """Forward pass and delivery of one flushed batch."""
+        model = self.registry.get(batch.model_key)
         observe = self.observability
         forward_start = time.perf_counter() if observe else 0.0
-        images, imu = self._stacked_inputs(batch)
-        kwargs = {}
-        if images is not None:
-            kwargs["images"] = images
-        if imu is not None:
-            kwargs["imu"] = imu
+        kwargs = self._batch_inputs(batch)
         # Each variant runs under its registered inference backend;
         # the selection is thread-local, so concurrent dispatch threads
         # can route different variants through different backends.
@@ -477,11 +382,11 @@ class InferenceServer:
         if observe:
             self._stage["forward"].observe(combine_start - forward_start)
         return self._deliver(batch, result, now, forward_start,
-                             combine_start, getattr(model, "last_shards", []))
+                             combine_start)
 
     def _deliver(self, batch: MicroBatch, result, now: float,
-                 forward_start: float, combine_start: float,
-                 shards: list) -> list[ServingVerdict]:
+                 forward_start: float, combine_start: float
+                 ) -> list[ServingVerdict]:
         """Turn one batch result into delivered verdicts + traces."""
         generation = self.registry.record(batch.model_key).generation
         observe = self.observability
@@ -520,20 +425,14 @@ class InferenceServer:
             queue_hist = self._stage["queue"]
             size = len(batch.requests)
             forward_meta = {"batch_size": size, "modality": batch.modality}
-            for index, request in enumerate(batch.requests):
+            for request in batch.requests:
                 queue_hist.observe(batch.flushed_wall - request.enqueued_wall)
-                spans = [
+                self.tracer.complete(request.trace_id, [
                     Span("queue", request.enqueued_wall, batch.flushed_wall),
                     Span("forward", forward_start, combine_start,
                          forward_meta),
-                ]
-                for lo, hi, start, end in shards:
-                    if lo <= index < hi:
-                        spans.append(Span("shard", start, end,
-                                          {"lo": lo, "hi": hi}))
-                        break
-                spans.append(Span("combine", combine_start, combine_end))
-                self.tracer.complete(request.trace_id, spans)
+                    Span("combine", combine_start, combine_end),
+                ])
         return verdicts
 
     # -- observability ---------------------------------------------------

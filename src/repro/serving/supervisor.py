@@ -621,16 +621,6 @@ class ShardSupervisor:
     def _declare_dead(self, handle: ShardHandle, now: float, *,
                       cause: str) -> None:
         handle.state = SHARD_DOWN
-        if handle.server is not None:
-            # Reap the shard's persistent executor workers: a dead shard
-            # must not leak worker processes or their shared segments
-            # (its replacement spawns a fresh set).  Close is defensive
-            # here — a simulated crash leaves a perfectly healthy server
-            # object behind.
-            try:
-                handle.server.close()
-            except Exception:  # noqa: BLE001 — dying shard: best effort
-                pass
         handle.server = None
         handle.died_at = now
         handle.last_cause = cause

@@ -51,7 +51,7 @@ from repro.streaming.transport import Channel
 FAULT_KINDS = ("blackout", "agent_silence", "sensor_stuck",
                "sensor_dropout", "sensor_spike",
                "shard_kill", "executor_hang", "sink_blackhole",
-               "journal_disk_full", "worker_kill",
+               "journal_disk_full",
                "uplink_blackhole", "ota_corrupt_artifact",
                "ota_download_kill",
                "camera_covered", "camera_blackout")

@@ -1,4 +1,4 @@
-"""Unit tests for the metrics primitives: instruments, registry, fork-merge."""
+"""Unit tests for the metrics primitives: instruments, registry, merge."""
 
 from __future__ import annotations
 
@@ -215,7 +215,7 @@ class TestRegistry:
 
 
 class TestDrainMerge:
-    def _worker_registry(self, counter_amount: float, gauge_level: float,
+    def _filled_registry(self, counter_amount: float, gauge_level: float,
                          samples: list[float]) -> MetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("jobs_total").inc(counter_amount)
@@ -225,23 +225,9 @@ class TestDrainMerge:
             hist.observe(value)
         return registry
 
-    def test_drain_returns_delta_and_zeroes(self):
-        registry = self._worker_registry(3, 2.0, [0.01])
-        first = registry.drain()
-        assert first["metrics"][0]["name"] in ("depth", "jobs_total",
-                                               "latency_seconds")
-        assert registry.counter("jobs_total").value == 0.0
-        assert registry.histogram("latency_seconds").count == 0
-        second = registry.drain()
-        for entry in second["metrics"]:
-            if entry["kind"] == "counter":
-                assert entry["value"] == 0.0
-            if entry["kind"] == "histogram":
-                assert entry["count"] == 0
-
     def test_merge_adds_counters_and_histograms_takes_gauge_max(self):
-        parent = self._worker_registry(1, 5.0, [0.01, 0.02])
-        parent.merge(self._worker_registry(2, 3.0, [0.04]).snapshot())
+        parent = self._filled_registry(1, 5.0, [0.01, 0.02])
+        parent.merge(self._filled_registry(2, 3.0, [0.04]).snapshot())
         assert parent.counter("jobs_total").value == 3.0
         assert parent.gauge("depth").value == 5.0
         hist = parent.histogram("latency_seconds")
@@ -251,7 +237,7 @@ class TestDrainMerge:
 
     def test_merge_creates_unknown_instruments(self):
         parent = MetricsRegistry()
-        parent.merge(self._worker_registry(4, 1.0, [0.5]).snapshot())
+        parent.merge(self._filled_registry(4, 1.0, [0.5]).snapshot())
         assert parent.counter("jobs_total").value == 4.0
         assert parent.histogram("latency_seconds").count == 1
 
@@ -259,9 +245,9 @@ class TestDrainMerge:
         """(a + b) + c == a + (b + c) for every instrument kind."""
         def snapshots():
             return [
-                self._worker_registry(1, 2.0, [0.001, 0.3]).snapshot(),
-                self._worker_registry(5, 9.0, [0.02]).snapshot(),
-                self._worker_registry(2, 4.0, [0.07, 0.07, 8.0]).snapshot(),
+                self._filled_registry(1, 2.0, [0.001, 0.3]).snapshot(),
+                self._filled_registry(5, 9.0, [0.02]).snapshot(),
+                self._filled_registry(2, 4.0, [0.07, 0.07, 8.0]).snapshot(),
             ]
 
         left = MetricsRegistry()
@@ -283,8 +269,8 @@ class TestDrainMerge:
         assert left.snapshot() == right.snapshot()
 
     def test_merge_is_commutative(self):
-        a = self._worker_registry(1, 2.0, [0.001]).snapshot()
-        b = self._worker_registry(5, 9.0, [0.02, 1.0]).snapshot()
+        a = self._filled_registry(1, 2.0, [0.001]).snapshot()
+        b = self._filled_registry(5, 9.0, [0.02, 1.0]).snapshot()
         ab, ba = MetricsRegistry(), MetricsRegistry()
         ab.merge(a)
         ab.merge(b)

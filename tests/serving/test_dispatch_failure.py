@@ -8,7 +8,6 @@ requests that already burned their retry are failed explicitly.
 """
 
 import numpy as np
-import pytest
 
 from repro.serving import (
     InferenceServer,

@@ -1,16 +1,21 @@
-"""Verdict journal: framing, crash-safe replay, fsync batching,
-disk-full degradation, and store-and-forward delivery."""
+"""Verdict journal: framing, crash-safe replay, torn-tail truncation,
+fsync batching, disk-full degradation, and store-and-forward delivery."""
 
 import errno
+import itertools
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import JournalError
+from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
     StoreAndForwardSink,
     VerdictJournal,
@@ -105,6 +110,29 @@ def test_replay_stops_at_corrupt_crc(tmp_path):
 def test_replay_of_missing_file_is_empty(tmp_path):
     replay = replay_journal(str(tmp_path / "never-written.wal"))
     assert replay.records == [] and replay.torn == 0
+
+
+def test_reopen_truncates_torn_tail_so_later_appends_replay(tmp_path):
+    """A crash mid-append leaves a partial final frame.  Reopening must
+    cut it, or every later append lands behind the tear where replay
+    never reaches it."""
+    path = str(tmp_path / "j.wal")
+    journal = VerdictJournal(path)
+    for i in range(3):
+        journal.append(record(i))
+    journal.close()
+    intact = os.path.getsize(path)
+    with open(path, "ab") as handle:
+        handle.write(frame_record(record(3))[:20])  # SIGKILL mid-write
+    reopened = VerdictJournal(path)
+    assert reopened.torn_truncated == 1
+    assert reopened.size_bytes == intact
+    for i in range(3, 9):
+        reopened.append(record(i))
+    reopened.close()
+    replay = replay_journal(path)
+    assert [r.sequence for r in replay.records] == list(range(9))
+    assert replay.torn == 0
 
 
 def test_unwritable_path_raises():
@@ -270,6 +298,164 @@ def test_failed_flush_is_a_failed_append(tmp_path):
     journal.close()
     # The unflushed bytes may land beside the rewrite; replay dedups.
     assert [r.sequence for r in replay_journal(path).records] == [0]
+
+
+class FlakyDisk:
+    """A journal's file handle whose ``write`` or ``flush`` raises ENOSPC
+    once for each time its name is armed in ``fail``."""
+
+    def __init__(self, real):
+        self._real = real
+        self.fail: list[str] = []
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
+
+    def _trip(self, name):
+        if name in self.fail:
+            self.fail.remove(name)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def write(self, data):
+        self._trip("write")
+        return self._real.write(data)
+
+    def flush(self):
+        self._trip("flush")
+        self._real.flush()
+
+
+def test_transient_write_error_drains_on_the_next_append(tmp_path):
+    """One ENOSPC from flush() parks a record; the disk is healthy again
+    at the next append, which must drain the parked record first, so
+    the journal does not stay in memory for the rest of the process."""
+    path = str(tmp_path / "j.wal")
+    journal = VerdictJournal(path)
+    disk = journal._handle = FlakyDisk(journal._handle)
+    reached_disk = []
+    for i in range(20):
+        if i == 1:
+            disk.fail.append("flush")
+        reached_disk.append(journal.append(record(i)))
+    assert reached_disk[1] is False
+    assert all(reached_disk[2:])
+    assert not journal.disk_full and journal.overflow_depth == 0
+    journal.close()
+    assert [r.sequence for r in replay_journal(path).records] == \
+        list(range(20))
+
+
+def test_close_drains_a_record_parked_by_the_last_append(tmp_path):
+    """The write error hits the final append and the disk recovers:
+    close() must write the parked record, not drop it."""
+    path = str(tmp_path / "j.wal")
+    journal = VerdictJournal(path)
+    journal.append(record(0))
+    disk = journal._handle = FlakyDisk(journal._handle)
+    disk.fail.append("write")
+    assert not journal.append(record(1))
+    assert journal.disk_full and journal.overflow_depth == 1
+    journal.close()
+    assert [r.sequence for r in replay_journal(path).records] == [0, 1]
+
+
+def test_record_parks_behind_a_failed_retry(tmp_path):
+    """When retrying a parked record fails again but the disk takes the
+    very next write, the new record must still queue behind it."""
+    path = str(tmp_path / "j.wal")
+    journal = VerdictJournal(path)
+    journal.append(record(0))
+    disk = journal._handle = FlakyDisk(journal._handle)
+    disk.fail.append("write")
+    assert not journal.append(record(1))
+    disk.fail.append("write")             # the retry of record 1 fails
+    assert not journal.append(record(2))  # parks, though its write would land
+    assert journal.overflow_depth == 2
+    assert journal.append(record(3))
+    journal.close()
+    assert [r.sequence for r in replay_journal(path).records] == [0, 1, 2, 3]
+
+
+def test_close_with_records_stuck_in_memory_raises(tmp_path):
+    """close() must not return as if parked records were durable."""
+    path = str(tmp_path / "j.wal")
+    journal = VerdictJournal(path)
+    journal.append(record(0))
+    journal.simulate_disk_full(True)
+    journal.append(record(1))
+    journal.append(record(2))
+    with pytest.raises(JournalError, match="2 records"):
+        journal.close()
+    assert [r.sequence for r in replay_journal(path).records] == [0]
+
+
+# -- crash contract: every cut and bit flip replays a frame prefix --------
+
+def _dedup(records):
+    """First occurrence of each (driver, window) id, in log order."""
+    seen, kept = set(), []
+    for item in records:
+        if item.record_id not in seen:
+            seen.add(item.record_id)
+            kept.append(item)
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(appends=st.lists(st.integers(0, 4), max_size=25),
+       fsync_every=st.integers(1, 8),
+       cut=st.integers(0, 1 << 20), flip=st.integers(0, 1 << 23))
+def test_every_cut_and_bit_flip_recovers_the_intact_prefix(
+        appends, fsync_every, cut, flip):
+    registry = MetricsRegistry()
+    fresh = itertools.count()
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "j.wal")
+        journal = VerdictJournal(path, fsync_every=fsync_every,
+                                 registry=registry)
+        frames = []     # (end offset, record), one per append
+        for back in appends:
+            # 0 journals a new window; k > 0 re-appends the record k
+            # appends back, as a retried dispatch does.
+            item = (frames[-back][1] if 0 < back <= len(frames)
+                    else record(next(fresh), session_id=f"drv-{back}"))
+            journal.append(item)
+            frames.append((journal.size_bytes, item))
+        del journal  # crash: no close()
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        boundaries = [0] + [end for end, _ in frames]
+        assert boundaries[-1] == len(blob)
+
+        damaged = [(blob[:end], k) for k, end in enumerate(boundaries)]
+        cut %= len(blob) + 1
+        whole = max(k for k, end in enumerate(boundaries) if end <= cut)
+        damaged.append((blob[:cut], whole))
+        if blob:
+            bit = flip % (8 * len(blob))
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            whole = max(k for k, end in enumerate(boundaries)
+                        if end <= bit // 8)
+            damaged.append((bytes(flipped), whole))
+
+        copy = os.path.join(workdir, "copy.wal")
+        for data, whole in damaged:
+            with open(copy, "wb") as handle:
+                handle.write(data)
+            survivors = _dedup(item for _, item in frames[:whole])
+            replay = replay_journal(copy)
+            assert replay.records == survivors
+            assert replay.torn == (len(data) > boundaries[whole])
+            reopened = VerdictJournal(copy, fsync_every=fsync_every,
+                                      registry=registry)
+            assert reopened.torn_truncated == replay.torn
+            extra = record(next(fresh), session_id="drv-new")
+            reopened.append(extra)
+            del reopened
+            recovered = replay_journal(copy)
+            assert recovered.torn == 0
+            assert recovered.records == survivors + [extra]
 
 
 # -- store-and-forward sink -----------------------------------------------

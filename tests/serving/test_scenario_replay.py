@@ -1,11 +1,11 @@
-"""Mixed-class scenario replay: golden fixture and worker parity.
+"""Mixed-class scenario replay: golden fixture, zero loss, new classes.
 
 The committed ``scenario_mixed_spec.json`` schedules old and new classes
 side by side (NORMAL/TEXTING/TALKING next to DROWSY and CAMERA_COVERED)
 plus a scheduled camera blackout.  Replaying it through the server with
 extended heads must (a) deliver one verdict per grid instant per driver
-— zero loss, (b) match the committed golden verdict sequence at every
-worker count, and (c) actually surface both new classes in the stream.
+— zero loss, (b) match the committed golden verdict sequence, and (c)
+actually surface both new classes in the stream.
 
 Regenerate the golden fixture deliberately after an intended behaviour
 change with::
@@ -32,17 +32,12 @@ GOLDEN_PATH = Path(__file__).parent.parent / "fixtures" / \
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("workers", [0, 2])
 def test_mixed_scenario_replay_matches_golden(extended_ensemble,
-                                              mixed_scenario_spec, workers):
-    """Satellite #6: the mixed-fleet replay is pinned byte for byte, and
-    the parallel executor path must deliver the identical sequence."""
+                                              mixed_scenario_spec):
+    """The mixed-fleet replay is pinned byte for byte."""
     report = replay_concurrent_drives(extended_ensemble,
-                                      scenario=mixed_scenario_spec,
-                                      workers=workers)
+                                      scenario=mixed_scenario_spec)
     if os.environ.get("REGEN_GOLDEN"):
-        if workers != 0:
-            pytest.skip("fixture regenerates in-process only")
         GOLDEN_PATH.write_text(json.dumps(
             {"scenario": mixed_scenario_spec.name,
              "verdicts": report.verdict_log}, indent=1) + "\n")
@@ -52,8 +47,7 @@ def test_mixed_scenario_replay_matches_golden(extended_ensemble,
     assert len(report.verdict_log) == len(golden["verdicts"])
     for index, (got, want) in enumerate(
             zip(report.verdict_log, golden["verdicts"])):
-        assert got == want, (
-            f"verdict #{index} diverged with {workers} workers")
+        assert got == want, f"verdict #{index} diverged"
 
 
 @pytest.mark.slow

@@ -115,6 +115,32 @@ def test_hot_swap_applies_to_queued_requests(
     assert verdict.model_key == "base"
 
 
+def test_mixed_privacy_levels_route_to_their_variants(
+        serving_ensemble, tiny_driving_dataset):
+    """Sessions at None/"medium"/"high" share one step loop, each
+    served by the variant its privacy level routes to."""
+    registry = ServingModelRegistry()
+    registry.register("full", serving_ensemble)
+    registry.register("med", serving_ensemble)
+    registry.bind(None, "full")
+    registry.bind("medium", "med")
+    server = InferenceServer(registry, max_batch=8)
+    levels = [None, "medium", "high", None, "medium", "high"]
+    sids = [server.open_session(d, privacy=level)
+            for d, level in enumerate(levels)]
+    for index, sid in enumerate(sids):
+        feed(server, sid, tiny_driving_dataset, sample=index)
+    for sid in sids:
+        assert server.request_verdict(sid, 0.75)
+    verdicts = server.drain(0.75)
+    assert sorted(v.session_id for v in verdicts) == sorted(sids)
+    routed = {v.session_id: v.model_key for v in verdicts}
+    # "high" has no variant of its own and walks back to "medium".
+    assert [routed[sid] for sid in sids] == [
+        "full", "med", "med", "full", "med", "med"]
+    assert {v.batch_size for v in verdicts} == {2, 4}
+
+
 def test_session_lifecycle_errors(serving_ensemble):
     server = InferenceServer.for_model(
         serving_ensemble,
