@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable
@@ -49,7 +50,11 @@ from repro.edge.spool import EdgeSpool, replay_spool
 from repro.edge.uploader import EdgeUplinkReceiver, EdgeUploader
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import get_registry
-from repro.serving.journal import StoreAndForwardSink, VerdictJournal
+from repro.serving.journal import (
+    StoreAndForwardSink,
+    VerdictJournal,
+    replay_journal,
+)
 from repro.serving.registry import ServingModelRegistry
 from repro.serving.replay import synthesize_trace
 from repro.streaming.faults import FaultEvent, FaultSchedule
@@ -216,6 +221,8 @@ class EdgeChaosReport:
     spool_torn: int
     spool_truncated: int
     spool_residue: int
+    journal_records: int
+    journal_torn: int
     uplink_blackholes: int
     ota_kills: int
     ota_installs: int
@@ -244,6 +251,8 @@ class EdgeChaosReport:
             f"   duplicates {self.duplicates}   lost {self.lost}",
             f"  spool      torn {self.spool_torn}   truncated "
             f"{self.spool_truncated}   residue {self.spool_residue}",
+            f"  journal    records {self.journal_records}   torn "
+            f"{self.journal_torn}",
             f"  uplink     blackholes {self.uplink_blackholes}",
             f"  ota        installs {self.ota_installs}   rollbacks "
             f"{self.ota_rollbacks}   integrity rejections "
@@ -284,8 +293,9 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
             the seed fixes traces, uplink loss and the sabotage
             permutation, so the run is reproducible end to end.
         schedule: fault script; :func:`standard_edge_schedule` default.
-        workdir: scratch directory (spools, OTA state, releases); a
-            temporary directory when omitted.
+        workdir: scratch directory (spools, controller journal, OTA
+            state, releases); when omitted, a temporary directory that
+            is deleted once the fleet and the journal close cleanly.
         script: drive behaviour script; standard all-behaviours default.
     """
     if agents < 1 or duration <= 0 or grid_period <= 0:
@@ -443,6 +453,8 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
         for agent in fleet.values():
             agent.close()
         journal.close()
+        journal_replay = replay_journal(journal.path)
+        unjournaled = delivered_ids - journal_replay.ids
         spool_torn = 0
         spool_truncated = 0
         for agent in fleet.values():
@@ -482,6 +494,14 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
         if spool_torn:
             violations.append(
                 f"{spool_torn} torn spool frames after a clean close")
+        if journal_replay.torn:
+            violations.append(
+                f"{journal_replay.torn} torn controller journal frames "
+                "after a clean close")
+        if unjournaled:
+            violations.append(
+                f"{len(unjournaled)} delivered records missing from the "
+                "controller journal replay")
         has_blackhole = any(e.kind == "uplink_blackhole"
                             for e in schedule.events)
         if has_blackhole and blackholes == 0:
@@ -543,6 +563,8 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
             spool_torn=spool_torn,
             spool_truncated=spool_truncated,
             spool_residue=residue,
+            journal_records=len(journal_replay.records),
+            journal_torn=journal_replay.torn,
             uplink_blackholes=blackholes,
             ota_kills=harness.kills,
             ota_installs=installs,
@@ -564,3 +586,7 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
             except Exception:  # noqa: BLE001 — best-effort teardown
                 pass
         journal.close()
+        # Delete only a workspace this call made, and only once the
+        # journal closed with no record stuck in memory.
+        if not workdir and not journal.overflow_depth:
+            shutil.rmtree(workspace)

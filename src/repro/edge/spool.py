@@ -3,14 +3,13 @@
 The edge agent's contract mirrors the serving journal's: a verdict the
 device produced is never *silently* lost — not when the uplink is
 blackholed for a minute, not when the agent process is SIGKILLed
-mid-append.  The spool is the same append-only, CRC-framed,
-fsync-batched WAL idiom as :mod:`repro.serving.journal`, adapted to the
-device side:
+mid-append.  The spool is a :mod:`repro.wal` log, like
+:mod:`repro.serving.journal`, so framing, verifying replay, torn-tail
+truncation on open, the flush per frame and the batched fsync are the
+log's.  The spool adds its policy:
 
 * every verdict (and every evidence clip) is framed to disk *before* an
-  upload is attempted, and each frame is flushed to the OS as it is
-  written, so a SIGKILL of the agent loses none of it; ``fsync_every``
-  batches only the disk barrier that power loss needs;
+  upload is attempted;
 * controller acks are **ack frames** in the same log.  Recovery rebuilds
   the ack state from the frames it replays, and only unacknowledged
   records re-enter the upload queue (the controller dedups by record id,
@@ -19,10 +18,6 @@ device side:
   — every sequence up to the contiguous ack watermark, plus the
   out-of-order acks above it — followed by the pending records, so later
   acks still fold into the watermark and the acked history is not lost;
-* :meth:`EdgeSpool.open` replays the WAL on startup, and a torn tail —
-  the frame a SIGKILL interrupted — is detected by its CRC/length and
-  **truncated in place**, so the next append starts on a clean frame
-  boundary instead of corrupting everything after it;
 * recovery also restores :attr:`EdgeSpool.last_sequence`, the highest
   sequence ever spooled *or* acknowledged, so a restarted agent resumes
   numbering past its previous incarnation — a reused sequence would be
@@ -38,25 +33,21 @@ under a fresh spool path and agent id.
 
 from __future__ import annotations
 
-import json
-import os
 import struct
-import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 
-from repro.exceptions import ConfigurationError, SpoolError
+from repro import wal
+from repro.exceptions import SpoolError
 from repro.obs.metrics import MetricsRegistry, get_registry
 
-#: Frame layout: magic(2) | payload_length:u32 LE | crc32(payload):u32 LE.
-#: The magic names the frame kind.  The CRC covers only the payload, so
-#: the three magics differ in at least three bits: no single flipped bit
-#: turns a frame of one kind into a valid frame of another.
+#: Frame magics.  The CRC covers only the payload, so the three magics
+#: differ in at least three bits: no single flipped bit turns a frame of
+#: one kind into a valid frame of another.
 MAGIC = b"ES"            #: a :class:`SpoolRecord`, canonical JSON
 ACK_MAGIC = b"AK"        #: acknowledged sequences, u64 LE each
 WATERMARK_MAGIC = b"WM"  #: the ack watermark, then the acks above it
-_HEADER = struct.Struct("<2sII")
 _SEQUENCE = struct.Struct("<Q")
 
 #: Record kinds the spool carries.
@@ -65,7 +56,7 @@ KIND_CLIP = "clip"
 
 
 @dataclass(frozen=True)
-class SpoolRecord:
+class SpoolRecord(wal.JsonRecord):
     """One spooled upload: a local verdict or an evidence clip.
 
     ``sequence`` is the agent-scoped upload sequence (one space across
@@ -103,26 +94,7 @@ class SpoolRecord:
 
     @cached_property
     def _encoded(self) -> bytes:
-        return json.dumps({
-            "agent_id": self.agent_id, "sequence": self.sequence,
-            "timestamp": self.timestamp, "kind": self.kind,
-            "predicted": self.predicted, "confidence": self.confidence,
-            "degraded": self.degraded, "model_version": self.model_version,
-            "payload": self.payload,
-        }, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "SpoolRecord":
-        data = json.loads(payload.decode("utf-8"))
-        return cls(agent_id=data["agent_id"],
-                   sequence=int(data["sequence"]),
-                   timestamp=float(data["timestamp"]),
-                   kind=data.get("kind", KIND_VERDICT),
-                   predicted=int(data.get("predicted", -1)),
-                   confidence=float(data.get("confidence", 0.0)),
-                   degraded=bool(data.get("degraded", False)),
-                   model_version=int(data.get("model_version", 0)),
-                   payload=data.get("payload", ""))
+        return wal.JsonRecord.to_payload(self)
 
 
 class AckState:
@@ -161,25 +133,20 @@ class AckState:
         return max(self.through, max(self.extra, default=0))
 
 
-def _frame(magic: bytes, payload: bytes) -> bytes:
-    return _HEADER.pack(magic, len(payload),
-                        zlib.crc32(payload) & 0xFFFFFFFF) + payload
-
-
 def frame_spool_record(record: SpoolRecord) -> bytes:
     """One on-disk frame: header + payload, CRC over the payload."""
-    return _frame(MAGIC, record.to_payload())
+    return wal.frame(MAGIC, record.to_payload())
 
 
 def frame_ack(sequence: int) -> bytes:
     """The frame recording that the controller acked ``sequence``."""
-    return _frame(ACK_MAGIC, _SEQUENCE.pack(sequence))
+    return wal.frame(ACK_MAGIC, _SEQUENCE.pack(sequence))
 
 
 def frame_watermark(acks: AckState) -> bytes:
     """One frame carrying the whole ack state: the watermark first."""
     marks = [acks.through, *sorted(acks.extra)]
-    return _frame(WATERMARK_MAGIC, struct.pack(f"<{len(marks)}Q", *marks))
+    return wal.frame(WATERMARK_MAGIC, struct.pack(f"<{len(marks)}Q", *marks))
 
 
 def _sequences(payload: bytes) -> tuple[int, ...]:
@@ -189,14 +156,10 @@ def _sequences(payload: bytes) -> tuple[int, ...]:
 
 
 @dataclass
-class SpoolReplay:
+class SpoolReplay(wal.Replay):
     """What :func:`replay_spool` recovered from a spool file."""
 
-    records: list[SpoolRecord] = field(default_factory=list)
     acks: AckState = field(default_factory=AckState)
-    duplicates: int = 0
-    torn: int = 0
-    bytes_read: int = 0
 
     @property
     def pending(self) -> list[SpoolRecord]:
@@ -211,54 +174,24 @@ class SpoolReplay:
 
 
 def replay_spool(path: str) -> SpoolReplay:
-    """Crash-safe replay: parse intact frames, dedup, stop at a torn tail.
-
-    Record frames are deduplicated by record id; ack and watermark
-    frames accumulate into :attr:`SpoolReplay.acks`.  ``bytes_read`` is
-    the offset of the last fully verified frame — the truncation point a
-    recovery pass cuts the file back to.
-    """
+    """Crash-safe replay (:func:`repro.wal.scan`): record frames are
+    deduplicated by record id, and ack and watermark frames accumulate
+    into :attr:`SpoolReplay.acks`."""
     replay = SpoolReplay()
-    if not os.path.exists(path):
-        return replay
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    seen: set[tuple[str, int]] = set()
-    offset = 0
-    while offset < len(blob):
-        header = blob[offset:offset + _HEADER.size]
-        if len(header) < _HEADER.size:
-            replay.torn += 1
-            break
-        magic, length, crc = _HEADER.unpack(header)
-        payload = blob[offset + _HEADER.size:offset + _HEADER.size + length]
-        if (magic not in (MAGIC, ACK_MAGIC, WATERMARK_MAGIC)
-                or len(payload) < length
-                or zlib.crc32(payload) & 0xFFFFFFFF != crc):
-            replay.torn += 1
-            break
-        try:
-            if magic == MAGIC:
-                record = SpoolRecord.from_payload(payload)
-            else:
-                marks = _sequences(payload)
-        except (ValueError, KeyError):
-            replay.torn += 1
-            break
-        offset += _HEADER.size + length
-        replay.bytes_read = offset
-        if magic != MAGIC:
-            if magic == WATERMARK_MAGIC:
-                replay.acks.raise_through(marks[0])
-                marks = marks[1:]
-            for sequence in marks:
-                replay.acks.add(sequence)
-        elif record.record_id in seen:
-            replay.duplicates += 1
-        else:
-            seen.add(record.record_id)
-            replay.records.append(record)
-    return replay
+
+    def ack(payload: bytes) -> None:
+        for sequence in _sequences(payload):
+            replay.acks.add(sequence)
+
+    def watermark(payload: bytes) -> None:
+        through, *above = _sequences(payload)
+        replay.acks.raise_through(through)
+        for sequence in above:
+            replay.acks.add(sequence)
+
+    return wal.scan(path, replay, {MAGIC: SpoolRecord.from_payload,
+                                   ACK_MAGIC: ack,
+                                   WATERMARK_MAGIC: watermark})
 
 
 class EdgeSpool:
@@ -276,20 +209,17 @@ class EdgeSpool:
 
     def __init__(self, path: str, *, fsync_every: int = 8,
                  registry: MetricsRegistry | None = None) -> None:
-        if fsync_every < 1:
-            raise ConfigurationError("fsync_every must be >= 1")
-        self.path = str(path)
-        self.fsync_every = int(fsync_every)
-        self.torn_truncated = 0
-        self.appended = 0
+        self._log, replay = wal.Log.open(
+            path, replay_spool, fsync_every=fsync_every, error=SpoolError)
+        self.path = self._log.path
+        self.torn_truncated = replay.torn
         self.acked = 0
         #: Highest sequence ever spooled or acked; seed new sequences
         #: past this so a restart never reuses one.
-        self.last_sequence = 0
-        self._since_sync = 0
+        self.last_sequence = replay.last_sequence
         #: Unacknowledged records by sequence, in append order.
-        self._pending: dict[int, SpoolRecord] = {}
-        self._acks = AckState()
+        self._pending = {r.sequence: r for r in replay.pending}
+        self._acks = replay.acks
         registry = registry or get_registry()
         self._obs_depth = registry.gauge(
             "edge_spool_depth", "Spooled records awaiting upload ack")
@@ -299,36 +229,16 @@ class EdgeSpool:
             "edge_spool_appends_total", "Records appended to the spool")
         self._obs_acked = registry.counter(
             "edge_spool_acked_total", "Spooled records acknowledged")
-        self._obs_truncated = registry.counter(
+        registry.counter(
             "edge_spool_truncated_total",
-            "Torn tail frames truncated during spool recovery")
-        self._recover()
-        try:
-            self._handle = open(self.path, "ab")
-        except OSError as error:
-            raise SpoolError(
-                f"cannot open spool {path!r}: {error}") from error
+            "Torn tail frames truncated during spool recovery"
+        ).inc(replay.torn)
         self._publish()
 
     @classmethod
     def open(cls, path: str, **options) -> "EdgeSpool":
         """Open (and crash-recover) the spool at ``path``."""
         return cls(path, **options)
-
-    # -- recovery ----------------------------------------------------------
-    def _recover(self) -> None:
-        replay = replay_spool(self.path)
-        if replay.torn:
-            # A SIGKILL mid-append left a partial frame; cut the file
-            # back to the last verified frame boundary so appends resume
-            # on clean framing.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(replay.bytes_read)
-            self.torn_truncated = replay.torn
-            self._obs_truncated.inc(replay.torn)
-        self._acks = replay.acks
-        self._pending = {r.sequence: r for r in replay.pending}
-        self.last_sequence = replay.last_sequence
 
     # -- appending ---------------------------------------------------------
     def append(self, record: SpoolRecord) -> None:
@@ -337,34 +247,22 @@ class EdgeSpool:
         if record.sequence in self._acks or record.sequence in self._pending:
             return
         try:
-            self._write(frame_spool_record(record))
+            self._log.write(frame_spool_record(record))
         except OSError as error:
             raise SpoolError(f"spool append failed: {error}") from error
-        self.appended += 1
         self.last_sequence = max(self.last_sequence, record.sequence)
         self._obs_appends.inc()
-        self._since_sync += 1
-        if self._since_sync >= self.fsync_every:
+        if self._log.sync_due:
             self.sync()
         self._pending[record.sequence] = record
         self._publish()
 
-    def _write(self, frame: bytes) -> None:
-        # Flushed per frame: a SIGKILL then loses nothing written, while
-        # power loss still waits on the batched fsync in sync().
-        self._handle.write(frame)
-        self._handle.flush()
-
     def sync(self) -> None:
         """Flush buffered frames and issue the disk barrier."""
-        if self._handle.closed:
-            return
         try:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._log.sync()
         except OSError:
             pass  # replay-side CRC detects whatever did not land
-        self._since_sync = 0
 
     # -- upload queue ------------------------------------------------------
     @property
@@ -381,7 +279,7 @@ class EdgeSpool:
         if sequence in self._acks:
             return
         try:
-            self._write(frame_ack(sequence))
+            self._log.write(frame_ack(sequence), record=False)
         except OSError:
             pass  # a lost ack frame only costs a deduplicated re-upload
         self._acks.add(sequence)
@@ -394,12 +292,8 @@ class EdgeSpool:
     # -- maintenance -------------------------------------------------------
     @property
     def size_bytes(self) -> int:
-        if self._handle.closed:
-            try:
-                return os.path.getsize(self.path)
-            except OSError:
-                return 0
-        return self._handle.tell()
+        """Bytes of spool on disk, every written frame included."""
+        return self._log.size_bytes
 
     def compact(self) -> None:
         """Rewrite the WAL as the ack watermark plus unacknowledged records.
@@ -412,22 +306,15 @@ class EdgeSpool:
         spool has spent.
         """
         self.sync()
-        tmp = self.path + ".compact"
-        with open(tmp, "wb") as handle:
-            handle.write(frame_watermark(self._acks))
-            for record in self._pending.values():
-                handle.write(frame_spool_record(record))
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._handle.close()
-        os.replace(tmp, self.path)
-        self._handle = open(self.path, "ab")
+        self._log.rewrite([frame_watermark(self._acks),
+                           *map(frame_spool_record, self._pending.values())])
         self._publish()
 
     def close(self) -> None:
-        if not self._handle.closed:
+        """Compact and close the spool."""
+        if not self._log.closed:
             self.compact()
-            self._handle.close()
+            self._log.close()
 
     def _publish(self) -> None:
         self._obs_depth.set(len(self._pending))

@@ -1,27 +1,20 @@
-"""Durable verdict journal: an append-only, fsync-batched write-ahead log.
+"""Durable verdict journal: the serving tier's write-ahead log.
 
 The serving tier's promise is that an admitted verdict request is never
 *silently* lost — not when a shard dies, not when the downstream alert
 sink is unreachable, not when the serving process itself is SIGKILLed.
-The journal is the durability half of that promise:
+The journal is the durability half of that promise.  It is a
+:mod:`repro.wal` log of ``b"VJ"`` frames, one per :class:`VerdictRecord`,
+so framing, verifying replay, torn-tail truncation on open, the flush per
+frame and the batched fsync are the log's.  The journal adds its policy:
 
 * every delivered verdict (and every *deferred* request the degradation
-  ladder could not answer immediately) is appended as a length-prefixed,
-  CRC-framed record, and flushed to the OS, before it counts as handled,
-  so a SIGKILL of the serving process loses none of it;
-* ``fsync`` is batched (every ``fsync_every`` records) so durability
-  against power loss costs one disk barrier per batch, not per verdict;
-* :func:`replay_journal` reads a journal back after a crash, *verifying
-  every frame*: a torn tail (the record a SIGKILL interrupted) is
-  detected by its CRC/length and dropped rather than parsed into
-  garbage, and duplicate appends — a retried dispatch journals twice —
-  are deduplicated by ``(session_id, sequence)``, the (driver, window)
-  identity of a verdict;
-* reopening a journal cuts a torn tail back to the last verified frame,
-  so appends after a crash land on clean framing instead of behind a
-  tear that would hide them from replay;
+  ladder could not answer immediately) is appended before it counts as
+  handled; :func:`replay_journal` dedups by ``(session_id, sequence)``,
+  the (driver, window) identity of a verdict, since a retried dispatch
+  journals twice;
 * when the disk itself fails (ENOSPC), appends degrade to an in-memory
-  overflow buffer that every later append retries, in order, before
+  overflow list that every later append retries, in order, before
   writing its own record, so a full disk weakens durability without
   dropping records; :meth:`VerdictJournal.close` drains it and raises
   if records are still stuck in memory.
@@ -35,19 +28,15 @@ double-alerts.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
-import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.exceptions import ConfigurationError, JournalError
+from repro import wal
+from repro.exceptions import JournalError
 from repro.obs.metrics import MetricsRegistry, get_registry
 
-#: Frame layout: magic(2) | payload_length:u32 LE | crc32(payload):u32 LE.
+#: The frame magic of a journaled :class:`VerdictRecord`.
 MAGIC = b"VJ"
-_HEADER = struct.Struct("<2sII")
 
 #: Record kinds the journal carries.
 KIND_VERDICT = "verdict"
@@ -55,7 +44,7 @@ KIND_DEFERRED = "deferred"
 
 
 @dataclass(frozen=True)
-class VerdictRecord:
+class VerdictRecord(wal.JsonRecord):
     """One journaled serving outcome for a (driver, window) id.
 
     ``kind`` is ``"verdict"`` for a delivered classification and
@@ -80,93 +69,23 @@ class VerdictRecord:
         """The (driver, window) identity deduplication keys on."""
         return (self.session_id, self.sequence)
 
-    def to_payload(self) -> bytes:
-        """The canonical JSON wire form (sorted keys, compact)."""
-        return json.dumps({
-            "session_id": self.session_id, "sequence": self.sequence,
-            "timestamp": self.timestamp, "kind": self.kind,
-            "predicted": self.predicted, "confidence": self.confidence,
-            "degraded": self.degraded, "model_key": self.model_key,
-            "reason": self.reason,
-        }, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "VerdictRecord":
-        data = json.loads(payload.decode("utf-8"))
-        return cls(session_id=data["session_id"],
-                   sequence=int(data["sequence"]),
-                   timestamp=float(data["timestamp"]),
-                   kind=data.get("kind", KIND_VERDICT),
-                   predicted=int(data.get("predicted", -1)),
-                   confidence=float(data.get("confidence", 0.0)),
-                   degraded=bool(data.get("degraded", False)),
-                   model_key=data.get("model_key", ""),
-                   reason=data.get("reason", ""))
-
 
 def frame_record(record: VerdictRecord) -> bytes:
     """One on-disk frame: header + payload, CRC over the payload."""
-    payload = record.to_payload()
-    return _HEADER.pack(MAGIC, len(payload),
-                        zlib.crc32(payload) & 0xFFFFFFFF) + payload
+    return wal.frame(MAGIC, record.to_payload())
 
 
-@dataclass
-class JournalReplay:
+class JournalReplay(wal.Replay):
     """What :func:`replay_journal` recovered from a journal file."""
-
-    records: list[VerdictRecord] = field(default_factory=list)
-    duplicates: int = 0
-    torn: int = 0
-    bytes_read: int = 0
-
-    @property
-    def ids(self) -> set[tuple[str, int]]:
-        """The deduplicated (driver, window) ids recovered."""
-        return {record.record_id for record in self.records}
 
 
 def replay_journal(path: str) -> JournalReplay:
-    """Crash-safe replay: parse every intact frame, dedup, drop the torn tail.
-
-    A record is accepted only when its magic, length and CRC all verify;
-    the first frame that fails (a partial write from a crash mid-append)
-    ends the replay and is counted in ``torn`` — a torn record is never
-    surfaced as data.  Duplicate (driver, window) ids keep their first
-    occurrence (append order is delivery order; later appends are
-    retries of the same window).
-    """
-    replay = JournalReplay()
-    if not os.path.exists(path):
-        return replay
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    seen: set[tuple[str, int]] = set()
-    offset = 0
-    while offset < len(blob):
-        header = blob[offset:offset + _HEADER.size]
-        if len(header) < _HEADER.size:
-            replay.torn += 1
-            break
-        magic, length, crc = _HEADER.unpack(header)
-        payload = blob[offset + _HEADER.size:offset + _HEADER.size + length]
-        if (magic != MAGIC or len(payload) < length
-                or zlib.crc32(payload) & 0xFFFFFFFF != crc):
-            replay.torn += 1
-            break
-        try:
-            record = VerdictRecord.from_payload(payload)
-        except (ValueError, KeyError):
-            replay.torn += 1
-            break
-        offset += _HEADER.size + length
-        replay.bytes_read = offset
-        if record.record_id in seen:
-            replay.duplicates += 1
-            continue
-        seen.add(record.record_id)
-        replay.records.append(record)
-    return replay
+    """Crash-safe replay (:func:`repro.wal.scan`): every verified frame,
+    the first append of each (driver, window) id kept — append order is
+    delivery order, later appends are retries — and a torn tail counted
+    in ``torn``, never surfaced as data."""
+    return wal.scan(path, JournalReplay(),
+                    {MAGIC: VerdictRecord.from_payload})
 
 
 class VerdictJournal:
@@ -188,24 +107,15 @@ class VerdictJournal:
 
     def __init__(self, path: str, *, fsync_every: int = 8,
                  registry: MetricsRegistry | None = None) -> None:
-        if fsync_every < 1:
-            raise ConfigurationError("fsync_every must be >= 1")
-        self.path = str(path)
-        self.fsync_every = int(fsync_every)
-        try:
-            self.torn_truncated = self._truncate_torn_tail()
-            self._handle = open(self.path, "ab")
-        except OSError as error:
-            raise JournalError(f"cannot open journal {path!r}: {error}") \
-                from error
-        self._since_sync = 0
+        self._log, recovered = wal.Log.open(
+            path, replay_journal, fsync_every=fsync_every, error=JournalError)
+        self.path = self._log.path
+        self.torn_truncated = recovered.torn
         #: Set by :meth:`simulate_disk_full`: appends park in memory
         #: without touching the disk until it is cleared.
         self._disk_full = False
         self._overflow: list[VerdictRecord] = []
         self._unsynced: list[VerdictRecord] = []
-        self.appended = 0
-        self.synced = 0
         self.overflowed = 0
         registry = registry or get_registry()
         self._obs_bytes = registry.gauge(
@@ -221,14 +131,6 @@ class VerdictJournal:
             "serving_journal_overflow_total",
             "Records buffered in memory because the journal disk was full")
         self._obs_bytes.set(self.size_bytes)
-
-    def _truncate_torn_tail(self) -> int:
-        """Cut a partial final frame back to the last verified frame."""
-        replay = replay_journal(self.path)
-        if replay.torn:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(replay.bytes_read)
-        return replay.torn
 
     # -- fault injection -------------------------------------------------
     def simulate_disk_full(self, full: bool) -> None:
@@ -256,7 +158,6 @@ class VerdictJournal:
         the process.  Every append first retries the parked records in
         order, so they drain as soon as a write succeeds again.
         """
-        self.appended += 1
         self._obs_appends.inc()
         self._drain_overflow()
         # A record never jumps still-parked older records onto disk.
@@ -265,15 +166,13 @@ class VerdictJournal:
             self.overflowed += 1
             self._obs_overflow.inc()
             return False
-        self._since_sync += 1
-        if self._since_sync >= self.fsync_every:
+        if self._log.sync_due:
             self.sync()
         return True
 
     def _write(self, record: VerdictRecord) -> bool:
         try:
-            self._handle.write(frame_record(record))
-            self._handle.flush()
+            self._log.write(frame_record(record))
         except OSError:
             return False
         self._unsynced.append(record)
@@ -285,8 +184,7 @@ class VerdictJournal:
             if not self._write(self._overflow[0]):
                 return
             self._overflow.pop(0)
-            self._since_sync += 1
-        if self._since_sync >= self.fsync_every:
+        if self._log.sync_due:
             self.sync()
 
     def sync(self) -> None:
@@ -299,33 +197,19 @@ class VerdictJournal:
         the original bytes did land, replay dedups the rewrite by
         (driver, window) id.
         """
-        if self._handle.closed:
-            return
         try:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            self._log.sync()
         except OSError:
-            if self._unsynced:
-                self._overflow[:0] = self._unsynced
-                self.overflowed += len(self._unsynced)
-                self._obs_overflow.inc(len(self._unsynced))
-                self._unsynced.clear()
-            self._since_sync = 0
-            return
+            self._overflow[:0] = self._unsynced
+            self.overflowed += len(self._unsynced)
+            self._obs_overflow.inc(len(self._unsynced))
         self._unsynced.clear()
-        self.synced = self.appended - len(self._overflow)
-        self._since_sync = 0
 
     # -- inspection ------------------------------------------------------
     @property
     def size_bytes(self) -> int:
         """Bytes written to the journal file so far (buffered included)."""
-        if self._handle.closed:
-            try:
-                return os.path.getsize(self.path)
-            except OSError:
-                return 0
-        return self._handle.tell()
+        return self._log.size_bytes
 
     def set_depth(self, depth: int) -> None:
         """Publish the undelivered-record depth (set by the owning sink)."""
@@ -343,11 +227,11 @@ class VerdictJournal:
         memory: they never reached disk and close does not pretend they
         did.
         """
-        if self._handle.closed:
+        if self._log.closed:
             return
         self._drain_overflow()
         self.sync()
-        self._handle.close()
+        self._log.close()
         if self._overflow:
             raise JournalError(
                 f"journal {self.path!r} closed with "

@@ -41,6 +41,7 @@ never reads a dead shard's memory.
 from __future__ import annotations
 
 import bisect
+import os
 import tempfile
 import zlib
 from dataclasses import dataclass, field
@@ -246,8 +247,9 @@ class ShardSupervisor:
             backoff for dead shards.
         request_deadline: per-request deadline (seconds after submit)
             before the degradation ladder journals-and-defers a window.
-        journal: the durable verdict journal; a temp-file journal is
-            created when omitted.
+        journal: the durable verdict journal; when omitted, a temp-file
+            journal is created and :meth:`close` deletes it once it
+            closes cleanly.
         downstream: verdict consumer for the store-and-forward sink.
         heartbeat_interval: how often shards are polled for liveness.
     """
@@ -279,6 +281,7 @@ class ShardSupervisor:
         self.request_deadline = float(request_deadline)
         self.heartbeat_interval = float(heartbeat_interval)
         self.metrics = MetricsRegistry()
+        self._temp_journal = journal is None
         if journal is None:
             handle = tempfile.NamedTemporaryFile(
                 prefix="verdict-journal-", suffix=".wal", delete=False)
@@ -541,10 +544,15 @@ class ShardSupervisor:
         return verdicts
 
     def close(self) -> None:
+        """Close every shard and the journal; a temp-file journal this
+        supervisor created is deleted once it closes cleanly."""
         for handle in self._shards.values():
             if handle.server is not None:
                 handle.server.close()
         self.journal.close()
+        if self._temp_journal and not self.journal.overflow_depth:
+            self._temp_journal = False
+            os.remove(self.journal.path)
 
     # -- step phases -----------------------------------------------------
     def _collect_heartbeats(self, now: float) -> None:

@@ -1,5 +1,8 @@
 """The deterministic edge chaos drive holds its invariants."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,9 @@ def test_chaos_drive_holds_every_invariant(edge_ensemble, tmp_path):
     assert report.produced == report.delivered > 0
     assert report.duplicates == 0 and report.lost == 0
     assert report.spool_residue == 0
+    # Every delivered record replays from the controller journal.
+    assert report.journal_torn == 0
+    assert report.journal_records == report.delivered
     assert report.uplink_blackholes == 2  # one per agent
     # The in-transit corruption of v2 was digest-rejected, never pinned.
     assert report.integrity_rejections >= 1
@@ -64,6 +70,16 @@ def test_chaos_without_faults_is_a_clean_drive(edge_ensemble, tmp_path):
     assert report.ota_kills == 0
     assert report.lost == 0 and report.spool_residue == 0
     assert report.ota_installs >= 1
+    assert os.listdir(tmp_path)  # the caller's workdir is left alone
+
+
+def test_chaos_drive_deletes_only_the_workspace_it_created(
+        edge_ensemble, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    report = run_edge_chaos(edge_ensemble, agents=1, duration=4.0,
+                            seed=3, schedule=FaultSchedule([]))
+    assert report.violations == [], report.format_report()
+    assert os.listdir(tmp_path) == []
 
 
 def test_chaos_drive_is_deterministic(edge_ensemble, tmp_path):

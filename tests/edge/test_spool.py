@@ -21,6 +21,7 @@ from repro.edge.spool import (
 )
 from repro.exceptions import ConfigurationError, SpoolError
 from repro.obs.metrics import MetricsRegistry
+from tests.wal_damage import damaged_copies
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
                                    "src"))
@@ -58,6 +59,20 @@ def test_append_ack_and_depth(tmp_path):
     assert [r.sequence for r in spool.pending()] == [3, 4]
     spool.ack(2)  # idempotent
     assert spool.acked == 2
+    spool.close()
+
+
+def test_acks_do_not_count_toward_the_fsync_batch(tmp_path, monkeypatch):
+    syncs = []
+    monkeypatch.setattr(os, "fsync", syncs.append)
+    spool = EdgeSpool.open(str(tmp_path / "s.wal"), fsync_every=3)
+    for sequence in (1, 2):
+        spool.append(record(sequence))
+        spool.ack(sequence)
+        spool.ack(sequence + 10)
+    assert syncs == []  # two record frames and four ack frames
+    spool.append(record(3))
+    assert len(syncs) == 1
     spool.close()
 
 
@@ -228,6 +243,12 @@ def test_invalid_config_and_unwritable_path():
         EdgeSpool.open("/nonexistent-dir/spool.wal")
 
 
+def test_unreadable_path_raises_spool_error(tmp_path):
+    """Recovery that cannot read the path fails like any other open."""
+    with pytest.raises(SpoolError):
+        EdgeSpool.open(str(tmp_path))
+
+
 def test_sigkill_mid_append_truncates_and_resumes(tmp_path):
     """An agent SIGKILLed mid-append must leave a spool whose torn tail
     is both detected and truncated on the next open, with the surviving
@@ -369,20 +390,8 @@ def test_every_cut_and_bit_flip_recovers_the_surviving_prefix(ops, cut,
         boundaries = [0] + [end for end, _, _ in frames]
         assert boundaries[-1] == len(blob)
 
-        damaged = [(blob[:end], k) for k, end in enumerate(boundaries)]
-        cut %= len(blob) + 1
-        whole = max(k for k, end in enumerate(boundaries) if end <= cut)
-        damaged.append((blob[:cut], whole))
-        if blob:
-            bit = flip % (8 * len(blob))
-            flipped = bytearray(blob)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            whole = max(k for k, end in enumerate(boundaries)
-                        if end <= bit // 8)
-            damaged.append((bytes(flipped), whole))
-
         copy = os.path.join(workdir, "copy.wal")
-        for data, whole in damaged:
+        for data, whole in damaged_copies(blob, boundaries, cut, flip):
             with open(copy, "wb") as handle:
                 handle.write(data)
             pending, _, high = _state(frames[:whole])

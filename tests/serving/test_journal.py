@@ -23,6 +23,7 @@ from repro.serving import (
     replay_journal,
 )
 from repro.serving.journal import KIND_DEFERRED, frame_record
+from tests.wal_damage import damaged_copies
 
 
 def record(sequence, session_id="drv-0", kind="verdict"):
@@ -199,7 +200,7 @@ def test_sync_failure_repatriates_acked_records_to_overflow(tmp_path,
     def broken(fd):
         raise OSError(5, "I/O error")
 
-    monkeypatch.setattr("repro.serving.journal.os.fsync", broken)
+    monkeypatch.setattr("repro.wal.os.fsync", broken)
     journal.sync()
     assert journal.disk_full
     assert journal.overflow_depth == 3    # acked records not abandoned
@@ -280,7 +281,7 @@ def test_failed_flush_is_a_failed_append(tmp_path):
     exactly like a failed write; it drains once the disk recovers."""
     path = str(tmp_path / "j.wal")
     journal = VerdictJournal(path, fsync_every=100)
-    real = journal._handle
+    real = journal._log._handle
 
     class FullDisk:
         def __getattr__(self, name):
@@ -289,10 +290,10 @@ def test_failed_flush_is_a_failed_append(tmp_path):
         def flush(self):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-    journal._handle = FullDisk()
+    journal._log._handle = FullDisk()
     assert not journal.append(record(0))
     assert journal.disk_full and journal.overflow_depth == 1
-    journal._handle = real
+    journal._log._handle = real
     journal.simulate_disk_full(False)
     assert journal.overflow_depth == 0
     journal.close()
@@ -331,7 +332,7 @@ def test_transient_write_error_drains_on_the_next_append(tmp_path):
     the journal does not stay in memory for the rest of the process."""
     path = str(tmp_path / "j.wal")
     journal = VerdictJournal(path)
-    disk = journal._handle = FlakyDisk(journal._handle)
+    disk = journal._log._handle = FlakyDisk(journal._log._handle)
     reached_disk = []
     for i in range(20):
         if i == 1:
@@ -351,7 +352,7 @@ def test_close_drains_a_record_parked_by_the_last_append(tmp_path):
     path = str(tmp_path / "j.wal")
     journal = VerdictJournal(path)
     journal.append(record(0))
-    disk = journal._handle = FlakyDisk(journal._handle)
+    disk = journal._log._handle = FlakyDisk(journal._log._handle)
     disk.fail.append("write")
     assert not journal.append(record(1))
     assert journal.disk_full and journal.overflow_depth == 1
@@ -365,7 +366,7 @@ def test_record_parks_behind_a_failed_retry(tmp_path):
     path = str(tmp_path / "j.wal")
     journal = VerdictJournal(path)
     journal.append(record(0))
-    disk = journal._handle = FlakyDisk(journal._handle)
+    disk = journal._log._handle = FlakyDisk(journal._log._handle)
     disk.fail.append("write")
     assert not journal.append(record(1))
     disk.fail.append("write")             # the retry of record 1 fails
@@ -427,20 +428,8 @@ def test_every_cut_and_bit_flip_recovers_the_intact_prefix(
         boundaries = [0] + [end for end, _ in frames]
         assert boundaries[-1] == len(blob)
 
-        damaged = [(blob[:end], k) for k, end in enumerate(boundaries)]
-        cut %= len(blob) + 1
-        whole = max(k for k, end in enumerate(boundaries) if end <= cut)
-        damaged.append((blob[:cut], whole))
-        if blob:
-            bit = flip % (8 * len(blob))
-            flipped = bytearray(blob)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            whole = max(k for k, end in enumerate(boundaries)
-                        if end <= bit // 8)
-            damaged.append((bytes(flipped), whole))
-
         copy = os.path.join(workdir, "copy.wal")
-        for data, whole in damaged:
+        for data, whole in damaged_copies(blob, boundaries, cut, flip):
             with open(copy, "wb") as handle:
                 handle.write(data)
             survivors = _dedup(item for _, item in frames[:whole])

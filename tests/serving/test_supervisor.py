@@ -1,17 +1,25 @@
 """Shard supervisor: routing, watchdog failover, migration, restart
 backoff, and the request degradation ladder."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.exceptions import (
     ConfigurationError,
+    JournalError,
     ServingError,
     ShardTimeoutError,
     ShardUnavailableError,
 )
 from repro.serving import HashRing, ShardSupervisor
-from repro.serving.journal import KIND_DEFERRED, KIND_VERDICT
+from repro.serving.journal import (
+    KIND_DEFERRED,
+    KIND_VERDICT,
+    VerdictJournal,
+    replay_journal,
+)
 from repro.serving.supervisor import SHARD_DOWN, SHARD_UP
 
 
@@ -205,6 +213,35 @@ def test_failover_loses_no_windows():
         assert len(downstream_ids) == len(set(downstream_ids))
     finally:
         supervisor.close()
+
+
+def test_close_deletes_only_the_journal_it_created(tmp_path):
+    """The temp-file journal a supervisor made for itself goes with it
+    on a clean close; a journal the caller passed in stays."""
+    supervisor = make_supervisor()
+    created = supervisor.journal.path
+    run_drive(supervisor, [supervisor.open_session(0)], until=1.0)
+    supervisor.drain(1.0)
+    supervisor.close()
+    assert not os.path.exists(created)
+    supervisor.close()  # idempotent
+
+    supervisor = make_supervisor()
+    supervisor.journal.simulate_disk_full(True)
+    run_drive(supervisor, [supervisor.open_session(0)], until=1.0)
+    supervisor.drain(1.0)
+    with pytest.raises(JournalError):
+        supervisor.close()
+    supervisor.close()
+    assert os.path.exists(supervisor.journal.path)  # kept: close failed
+    os.remove(supervisor.journal.path)
+
+    passed = str(tmp_path / "verdicts.wal")
+    supervisor = make_supervisor(journal=VerdictJournal(passed))
+    run_drive(supervisor, [supervisor.open_session(0)], until=1.0)
+    supervisor.drain(1.0)
+    supervisor.close()
+    assert len(replay_journal(passed).records) == 4
 
 
 def test_close_on_crashed_shard_never_resurrects_the_session():
