@@ -253,18 +253,6 @@ class _Extractor:
         out_shape = _conv_out_shape(conv, in_shape, conv.out_channels)
         scale, shift, has_relu, fused = self._epilogue(bn, relu)
         out_ref, out_channels = self._dest_or_slot(dest, out_shape)
-        c, h, w = in_shape
-        ph, pw = conv.padding
-        pad_ref = cols_ref = None
-        general = (conv.kernel_size != (1, 1) or conv.stride != (1, 1)
-                   or conv.padding != (0, 0))
-        if general:
-            if ph or pw:
-                pad_ref = self.builder.new_slot(
-                    (c, h + 2 * ph, w + 2 * pw), pinned=True)
-            kh, kw = conv.kernel_size
-            cols_ref = self.builder.new_slot(
-                (c * kh * kw, out_shape[1] * out_shape[2]))
         self.builder.emit(ops.ConvOp(
             layer=conv.name, fused=tuple([conv.name] + fused),
             weight=make_weight(conv.flat_weight(), quantize=self.quantize,
@@ -273,8 +261,7 @@ class _Extractor:
             scale=scale, shift=shift, relu=has_relu,
             kernel=conv.kernel_size, stride=conv.stride, pad=conv.padding,
             in_shape=in_shape, out_shape=out_shape,
-            in_ref=in_ref, out_ref=out_ref, out_channels=out_channels,
-            pad_ref=pad_ref, cols_ref=cols_ref))
+            in_ref=in_ref, out_ref=out_ref, out_channels=out_channels))
         return out_ref, out_shape
 
     def _lower_dense(self, dense: Dense, relu, in_ref, in_shape,

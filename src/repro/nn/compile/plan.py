@@ -1,4 +1,4 @@
-"""Execution-plan IR: slots, the capacity arena, and the bound-plan executor.
+"""Execution-plan IR: slots, the capacity arena, tile buffers, the executor.
 
 A compiled network is a flat list of ops over *slots*.  A slot is one
 intermediate tensor with a fixed **per-sample** shape — the batch
@@ -12,17 +12,28 @@ op holds its views.
 seen so far, its *capacity* ``cap``: slot *s* owns the block range
 ``[offset·cap, (offset + elements)·cap)``.  A binding for any ``n <=
 cap`` uses the leading ``n`` rows of every slot, so all batch sizes
-share one block, pinned (pre-zeroed) pad borders keep their addresses
-and stay zero, and two slots disjoint per sample stay disjoint for every
-``n``.  Only growth past ``cap`` allocates — and page-faults — a new
-block; it drops the old block and every binding made over it.
+share one block, pinned (pre-zeroed) pool pad borders keep their
+addresses and stay zero, and two slots disjoint per sample stay disjoint
+for every ``n``.  Only growth past ``cap`` allocates — and page-faults —
+a new block; it drops the old block and every binding made over it.
 
-Bindings (the per-batch-size op closures over arena views) are cached
-per batch size in a bounded LRU; rebinding costs view slicing only.
+**Tile buffers, outside the arena.**  An op that runs its batch in row
+tiles (a conv: pad copy, im2col, GEMM and epilogue per tile) declares
+its *tile* — rows per tile — plus the per-row size of its scratch, and
+its scratch does not scale with the batch.  Each such op owns one
+*pinned tile* (a conv's zero-bordered pad buffer: allocated zeroed and
+never rewritten at its borders) and every op of the plan shares one
+*shared tile* (the conv column buffer: ops run one at a time and each
+overwrites what it reads).  Both are sized ``min(cap, tile)`` rows, are
+resized only when the capacity grows, and never per binding.
 
-The arena makes a plan single-flight: **one forward per plan at a
-time**.  Two concurrent runs would share scratch memory, the same rule
-the layer forward's backward caches impose.
+Bindings (the per-batch-size op closures over arena and tile views) are
+cached per batch size in a bounded LRU; rebinding costs view slicing
+only.
+
+The arena and the tile buffers make a plan single-flight: **one forward
+per plan at a time**.  Two concurrent runs would share scratch memory,
+the same rule the layer forward's backward caches impose.
 """
 
 from __future__ import annotations
@@ -93,10 +104,13 @@ class BindContext:
     """What ops see while closing over one batch size's arrays."""
 
     def __init__(self, n: int, views: list[np.ndarray | None],
-                 holder: InputHolder) -> None:
+                 holder: InputHolder, pinned: dict[int, np.ndarray],
+                 shared: np.ndarray) -> None:
         self.n = int(n)
         self._views = views
         self.holder = holder
+        self._pinned = pinned
+        self._shared = shared
 
     def view(self, ref: SlotRef) -> np.ndarray:
         """The bound array for a non-input slot, in the ref's view shape."""
@@ -108,20 +122,40 @@ class BindContext:
             return base
         return base.reshape((self.n,) + ref.shape)
 
-    def reader(self, ref: SlotRef):
+    def reader(self, ref: SlotRef, rows: tuple[int, int] | None = None):
         """A zero-arg callable yielding the ref's array at run time.
 
         Arena slots resolve to a fixed view at bind time; the network
         input slot resolves through the holder so ``run(x)`` never copies
-        the input into the arena.
+        the input into the arena.  ``rows`` restricts either to a
+        ``[r0, r1)`` row range (one tile).
         """
         base = self._views[ref.slot]
+        whole = rows is None or rows == (0, self.n)
         if base is None:
             holder = self.holder
             shape = (self.n,) + ref.shape
-            return lambda: holder.value.reshape(shape)
+            if whole:
+                return lambda: holder.value.reshape(shape)
+            r0, r1 = rows
+            return lambda: holder.value.reshape(shape)[r0:r1]
         view = self.view(ref)
+        if not whole:
+            view = view[rows[0]:rows[1]]
         return lambda: view
+
+    def pinned_tile(self, op: "PlanOp") -> np.ndarray:
+        """``op``'s own zero-bordered tile buffer, ``(rows,) + shape``."""
+        return self._pinned[op.index]
+
+    def shared_tile(self, rows: int, shape: tuple[int, ...]) -> np.ndarray:
+        """The leading ``rows`` rows of the plan's one shared tile buffer.
+
+        Every tiled op gets the same memory; an op must overwrite all of
+        it before reading it back.
+        """
+        size = rows * int(np.prod(shape))
+        return self._shared[:size].reshape((rows,) + tuple(shape))
 
     def dest(self, ref: SlotRef, channels: tuple[int, int] | None
              ) -> np.ndarray:
@@ -141,6 +175,13 @@ class PlanOp:
     """One fused operation of the flat plan."""
 
     kind = "op"
+    #: Rows per tile; 0 for an op that runs whole batches and holds no
+    #: tile buffer.
+    tile = 0
+    #: Per-row shape of the op's pinned tile buffer, or None.
+    pinned_row: tuple[int, ...] | None = None
+    #: Per-row float32 elements the op uses of the shared tile buffer.
+    shared_row = 0
 
     def __init__(self, *, layer: str, fused: tuple[str, ...] = ()) -> None:
         #: Primary source layer name — per-layer profiling attributes the
@@ -263,6 +304,10 @@ class CompiledNetwork:
         self.capacity = 0
         self.arena: np.ndarray | None = None
         self._bound: dict[int, BoundPlan] = {}
+        #: Tile buffers (see the module docstring): each tiled op's
+        #: pinned tile by op index, and the one shared tile.
+        self.pinned_tiles: dict[int, np.ndarray] = {}
+        self.shared_tile = np.empty(0, dtype=np.float32)
         #: Arena blocks allocated so far (first run, then each growth).
         self.arena_allocs = 0
         # Flushed to the process registry by run() only when it moved,
@@ -292,6 +337,25 @@ class CompiledNetwork:
                 # Pad borders are never written; zeroed once per block.
                 lo = slot.offset * n
                 self.arena[lo:lo + slot.elements * n].fill(0.0)
+        self._fit_tiles(n)
+
+    def _fit_tiles(self, cap: int) -> None:
+        """Size every tile buffer for ``min(cap, tile)`` rows.
+
+        A buffer that is already large enough is kept, so a pinned tile
+        is zeroed once, when it is allocated, and its borders stay zero.
+        """
+        shared = 0
+        for op in self.ops:
+            rows = min(cap, op.tile)
+            if op.pinned_row is not None:
+                held = self.pinned_tiles.get(op.index)
+                if held is None or len(held) < rows:
+                    self.pinned_tiles[op.index] = np.zeros(
+                        (rows,) + op.pinned_row, dtype=np.float32)
+            shared = max(shared, rows * op.shared_row)
+        if self.shared_tile.size < shared:
+            self.shared_tile = np.empty(shared, dtype=np.float32)
 
     def _bind(self, n: int) -> BoundPlan:
         cap = self.capacity
@@ -304,7 +368,8 @@ class CompiledNetwork:
             views.append(self.arena[lo:lo + slot.elements * n]
                          .reshape((n,) + slot.shape))
         holder = InputHolder()
-        rt = BindContext(n, views, holder)
+        rt = BindContext(n, views, holder, self.pinned_tiles,
+                         self.shared_tile)
         funcs = [op.bind(rt) for op in self.ops]
         return BoundPlan(n=n, holder=holder, funcs=funcs,
                          layers=[op.layer for op in self.ops],

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pickle
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,8 +26,12 @@ from repro.exceptions import ConfigurationError
 from repro.nn import (
     Adam,
     AvgPool2D,
+    BatchNorm,
+    Conv2D,
     Dense,
     NeuralNetwork,
+    ParallelBranches,
+    ReLU,
     Sequential,
     Tanh,
     backend_names,
@@ -41,6 +46,7 @@ from repro.nn.compile import (
     UnsupportedLayerError,
     active_backend_name,
     get_backend,
+    ops,
 )
 from repro.nn.compile.plan import BOUND_CACHE_SIZE
 from repro.nn.runtime import profiled_layers
@@ -209,6 +215,134 @@ def test_shared_arena_matches_fresh_plans(property_nets, name, sizes):
             assert np.shares_memory(bound.output_view, plan.arena)
     assert plan.capacity == max(sizes)
     assert plan.arena.size == plan.arena_per_sample * plan.capacity
+
+
+# -- conv row tiles -------------------------------------------------------
+
+def _whole_batch_conv(unit: Sequential, x: np.ndarray) -> np.ndarray:
+    """A conv+bn+relu unit the untiled way: whole-batch pad, 6-D window
+    copy, one batched GEMM, in-place epilogue."""
+    conv, bn = unit.layers[0], unit.layers[1]
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = conv.kernel_size, conv.stride, conv.padding
+    oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    padded = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=np.float32)
+    padded[:, :, ph:ph + h, pw:pw + w] = x
+    sn, sc, sy, sx = padded.strides
+    window = np.lib.stride_tricks.as_strided(
+        padded, shape=(n, c, kh, kw, oh, ow),
+        strides=(sn, sc, sy, sx, sy * sh, sx * sw))
+    cols = np.empty((n, c * kh * kw, oh * ow), dtype=np.float32)
+    cols.reshape(n, c, kh, kw, oh, ow)[...] = window
+    out = np.empty((n, conv.out_channels, oh * ow), dtype=np.float32)
+    np.matmul(np.array(conv.flat_weight(), dtype=np.float32), cols, out=out)
+    out = out.reshape(n, conv.out_channels, oh, ow)
+    if conv.bias is not None:
+        np.add(out, conv.bias.value[:, None, None], out=out)
+    scale, shift = (np.asarray(v, np.float32)[:, None, None]
+                    for v in bn.eval_scale_shift())
+    np.multiply(out, scale, out=out)
+    np.add(out, shift, out=out)
+    return np.maximum(out, np.float32(0.0), out=out)
+
+
+def _conv_unit(c: int, oc: int, kernel, stride, pad, bias: bool,
+               rng: np.random.Generator) -> Sequential:
+    bn = BatchNorm(oc)
+    bn.gamma.value[...] = rng.uniform(0.5, 1.5, oc)
+    bn.beta.value[...] = rng.standard_normal(oc)
+    bn.running_mean[...] = rng.standard_normal(oc)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, oc)
+    return Sequential([Conv2D(c, oc, kernel, stride=stride, padding=pad,
+                              use_bias=bias, rng=rng), bn, ReLU()])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       stride=st.sampled_from([1, 2]),
+       pad=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+       bias=st.booleans(),
+       source=st.sampled_from(["raw", "arena"]),
+       branch=st.booleans(),
+       tile=st.integers(1, 21),
+       picks=st.lists(st.integers(0, 4), min_size=3, max_size=8),
+       seed=st.integers(0, 2**16))
+def test_conv_row_tiles_match_the_whole_batch_conv(kernel, stride, pad, bias,
+                                                   source, branch, tile,
+                                                   picks, seed):
+    """Any conv geometry, source and destination, run at batch sizes on
+    both sides of its tile and interleaved on one plan, returns exactly
+    what the untiled whole-batch conv returns, row for row."""
+    rng = np.random.default_rng(seed)
+    c, oc, h, w = 2, 3, 7, 6
+    units = [_conv_unit(c, oc + i, kernel, stride, pad, bias, rng)
+             for i in range(2 if branch else 1)]
+    body = ParallelBranches(units) if branch else units[0]
+    net = Sequential([ReLU(), body] if source == "arena" else [body])
+    net.set_training(False)
+    probe = compile_network(net, (c, h, w))
+    conv = next(op for op in probe.ops if op.kind == "conv")
+    if conv.tile:
+        pad_row = int(np.prod(conv.pinned_row or (0,)))
+        row_bytes = 4 * (pad_row + conv.shared_row)
+        with mock.patch.object(ops, "TILE_BYTES", tile * row_bytes):
+            plan = compile_network(net, (c, h, w))
+        assert {op.tile for op in plan.ops if op.kind == "conv"} == {tile}
+    else:
+        plan = probe       # 1x1 stride-1 unpadded: one whole-batch GEMM
+    sizes = sorted({n for n in (1, tile - 1, tile, tile + 1, 3 * tile + 1)
+                    if 1 <= n <= 64})
+    model = _served(net)
+    for call, pick in enumerate(picks):
+        n = sizes[pick % len(sizes)]
+        x = _images(n, (c, h, w), seed=seed + call)
+        src = np.maximum(x, np.float32(0.0)) if source == "arena" else x
+        expected = np.concatenate([_whole_batch_conv(u, src) for u in units],
+                                  axis=1)
+        out = plan.run(x)
+        np.testing.assert_array_equal(out, expected)
+        with using_backend("reference"):
+            np.testing.assert_allclose(out, model.predict_logits(x),
+                                       atol=ATOL, rtol=0)
+
+
+#: The shipped frame CNN: CnnConfig defaults (6 classes, width 1, 64x64).
+SHIPPED_SHAPE = (1, 64, 64)
+
+
+def test_conv_scratch_is_tile_sized_outside_the_arena():
+    net = build_micro_inception(6, rng=np.random.default_rng(0))
+    net.set_training(False)
+    plan = compile_network(net, SHIPPED_SHAPE)
+    convs = [op for op in plan.ops if op.kind == "conv"]
+    # No conv pad or column buffer is an arena slot; with them the arena
+    # held 200,180 floats per row (stem.c2's columns alone 110,592).
+    assert all(op.slot_refs() == [op.in_ref, op.out_ref] for op in convs)
+    assert plan.arena_per_sample == 42_496
+    tiled = [op for op in convs if op.tile]
+    assert len(tiled) == 12
+
+    plan.run(_images(8, SHIPPED_SHAPE))
+    pads, columns = dict(plan.pinned_tiles), plan.shared_tile
+    plan.run(_images(64, SHIPPED_SHAPE))
+    assert plan.capacity == 64 and plan.arena_allocs == 2
+    # Binding 64 rows after 8 allocates no new column tile: its size is
+    # set by the widest conv tile, already reached at 8 rows.
+    assert plan.shared_tile is columns
+    assert columns.size == max(min(8, op.tile) * op.shared_row
+                               for op in tiled)
+    # A pad tile grows only up to its conv's tile, never to the batch.
+    for op in tiled:
+        pad = plan.pinned_tiles[op.index]
+        assert pad.shape == (min(64, op.tile),) + op.pinned_row
+        assert (pad is pads[op.index]) == (op.tile <= 8)
+        (ph, pw), (_, hp, wp) = op.pad, op.pinned_row
+        border = np.ones((hp, wp), dtype=bool)
+        border[ph:hp - ph, pw:wp - pw] = False
+        assert not pad[:, :, border].any()
+    scratch = columns.nbytes + sum(p.nbytes
+                                   for p in plan.pinned_tiles.values())
+    assert scratch <= (len(tiled) + 1) * ops.TILE_BYTES
 
 
 def test_int8_weight_roundtrip_error_is_per_channel_bounded():
