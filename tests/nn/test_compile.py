@@ -2,9 +2,10 @@
 
 Compiled plans are the one serving inference path.  Their contract: a
 float32 plan's output depends only on the batch, never on which batch
-sizes its shared arena served before (bitwise), it stays within ``ATOL``
-of the reference layer forward, and an uncompilable model falls back to
-the reference forward silently.  These tests pin each clause plus the
+sizes its shared arena served before or on the conv row tile a row
+rides in (bitwise), it stays within ``ATOL`` of the reference layer
+forward, and an uncompilable model falls back to the reference forward
+silently.  These tests pin each clause plus the
 plan-cache/invalidation and thread-locality rules the serving tier
 relies on.
 """
