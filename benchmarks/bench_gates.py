@@ -5,8 +5,8 @@ Three sections measure what the middleware claims:
 * **matrix** — compiled plans (``numpy-compiled``, the one serving
   inference path) against the ``reference`` layer forward for every
   deployable model (CNN, RNN, the full ensemble and the three privacy
-  dCNN students) at each batch size; float parity with the reference;
-  and the lossy int8 plans' verdict agreement with the float plans;
+  dCNN students) at each batch size, and float parity with the
+  reference;
 * **serving** — replay throughput with observability off and on,
   micro-batched against ``max_batch=1`` replay at 32 drivers, and, in a
   full run, latency percentiles across driver counts;
@@ -61,8 +61,6 @@ GATES = {
     "compiled_ensemble_speedup": (5.0, 2.0, "min"),
     # Worst max|compiled - reference| over the float models.
     "float_backend_parity": (1e-5, 1e-5, "max"),
-    # Worst int8-vs-float verdict-class agreement over the dCNN students.
-    "int8_verdict_agreement": (0.97, 0.97, "min"),
     # Share of replay throughput that metrics and tracing cost.
     "metrics_overhead": (0.05, 0.05, "max"),
     # Micro-batched over max_batch=1 replay: throughput, and p50 latency.
@@ -138,7 +136,7 @@ def best_seconds(fn, repeats: int) -> float:
 
 
 def run_matrix(quick: bool) -> tuple[dict, dict]:
-    """Compiled vs reference per model and batch, parity, int8 agreement.
+    """Compiled vs reference per model and batch, and parity.
 
     Forwards go through the public predict surface, so a cell measures
     what serving dispatch pays, not a bare network forward.
@@ -184,19 +182,6 @@ def run_matrix(quick: bool) -> tuple[dict, dict]:
     parity = {model: {"batch": batch, "max_abs_diff": float(np.max(np.abs(
         on("reference", forward, model, batch)
         - on(COMPILED, forward, model, batch))))} for model in models}
-    # int8 covers the distilled students only: lower fidelity is already
-    # their contract, so the agreement gate extends it.
-    int8 = {}
-    for model in sorted(students):
-        floats = on(COMPILED, forward, model, len(images))
-        quantized = on("numpy-compiled-int8", forward, model, len(images))
-        int8[model] = {
-            "samples": len(images),
-            "verdict_agreement": round(float(np.mean(
-                floats.argmax(axis=1) == quantized.argmax(axis=1))), 4),
-            "max_abs_logit_diff": round(
-                float(np.max(np.abs(floats - quantized))), 5),
-        }
     print(f"Compiled vs reference, best of {repeats}\n"
           f"  {'model':<10} {'batch':>5} {'reference':>10} {'compiled':>9} "
           f"{'speedup':>8}")
@@ -205,10 +190,6 @@ def run_matrix(quick: bool) -> tuple[dict, dict]:
             print(f"  {model:<10} {key[6:]:>5} {cell['reference_s']:>9.4f}s "
                   f"{cell[f'{COMPILED}_s']:>8.4f}s "
                   f"{cell[f'{COMPILED}_speedup']:>7.2f}x")
-    for model, row in int8.items():
-        print(f"  int8 {model}: verdict agreement "
-              f"{100 * row['verdict_agreement']:.1f}% over "
-              f"{row['samples']} samples")
     gate = f"batch_{GATE_BATCH}"
     values = {
         "compiled_rnn_speedup": cells["rnn"][gate][f"{COMPILED}_speedup"],
@@ -216,12 +197,9 @@ def run_matrix(quick: bool) -> tuple[dict, dict]:
             cells["ensemble"][gate][f"{COMPILED}_speedup"],
         "float_backend_parity": max(row["max_abs_diff"]
                                     for row in parity.values()),
-        "int8_verdict_agreement": min(row["verdict_agreement"]
-                                      for row in int8.values()),
     }
     return {"gate_batch": GATE_BATCH, "batches": list(batches),
-            "repeats": repeats, "cells": cells, "parity": parity,
-            "int8": int8}, values
+            "repeats": repeats, "cells": cells, "parity": parity}, values
 
 
 def _fields(report, *names: str) -> dict:

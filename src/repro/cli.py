@@ -565,10 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--backend", default=DEFAULT_BACKEND,
                        choices=backend_names(),
                        help="inference backend: numpy-compiled (fused "
-                            "execution plans, the default), "
-                            "numpy-compiled-int8 (quantized weights, "
-                            "lossy), or reference (the plain layer "
-                            "forward, the parity oracle)")
+                            "execution plans, the default) or reference "
+                            "(the plain layer forward, the parity oracle)")
     serve.add_argument("--train-samples", type=int, default=120)
     serve.add_argument("--train-epochs", type=int, default=1)
     serve.add_argument("--seed", type=int, default=0)

@@ -33,7 +33,6 @@ from repro.edge.ota import OtaClient
 from repro.edge.spool import KIND_CLIP, EdgeSpool, SpoolRecord
 from repro.edge.supervisor import TaskSupervisor
 from repro.edge.uploader import EdgeUploader
-from repro.nn.compile.backends import using_backend
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import Tracer
 from repro.serving.registry import ServingModelRegistry
@@ -152,13 +151,8 @@ class EdgeAgent:
                 rows = [rows[0]] * (WINDOW_STEPS - len(rows)) + rows
             window = np.stack(rows)[None, :, :]
             level = self.privacy.value if self.privacy is not None else None
-            name = self.registry.route(level)
-            model = self.registry.get(name)
-            # The variant's backend pin is thread-local, so it is set
-            # per call exactly as the server's dispatch loop sets it.
-            with using_backend(self.registry.backend_for(name)):
-                prediction = model.predict_degraded(images=images,
-                                                    imu=window)
+            model = self.registry.get(self.registry.route(level))
+            prediction = model.predict_degraded(images=images, imu=window)
         predicted = int(prediction.predictions[0])
         confidence = float(prediction.confidence[0])
         with self.tracer.span(trace_id, "spool"):

@@ -41,19 +41,13 @@ from repro.nn.metrics import (
     precision_recall_f1,
     top_k_accuracy,
 )
-from repro.nn.compile import (
-    backend_names,
-    compile_network,
-    set_default_backend,
-    using_backend,
-)
+from repro.nn.compile import backend_names, compile_network, using_backend
 from repro.nn.serialization import copy_weights, load_weights, save_weights
 
 __all__ = [
     "Layer", "Parameter", "assert_float32", "Dense", "Conv2D", "MaxPool2D",
     "AvgPool2D",
-    "backend_names", "compile_network", "set_default_backend",
-    "using_backend",
+    "backend_names", "compile_network", "using_backend",
     "GlobalAvgPool2D", "ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax",
     "softmax", "log_softmax", "BatchNorm", "Dropout", "Flatten", "Reshape",
     "Sequential", "ParallelBranches", "Residual", "LSTM", "BidirectionalLSTM",

@@ -14,8 +14,8 @@
 * **Reshape elision** — ``Flatten`` / ``Reshape`` become slot view
   aliases, never ops.
 
-Layers without a lowering raise :class:`UnsupportedLayerError`; backends
-treat that as "this model runs the reference forward".
+Layers without a lowering raise :class:`UnsupportedLayerError`; the
+model treats that as "this model runs the reference forward".
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.nn.compile.plan import (
     SlotRef,
     UnsupportedLayerError,
 )
-from repro.nn.compile.quantize import make_weight
 from repro.nn.layers.activations import ReLU
 from repro.nn.layers.base import Layer
 from repro.nn.layers.batchnorm import BatchNorm
@@ -102,9 +101,8 @@ def infer_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]:
 # -- lowering ------------------------------------------------------------
 
 class _Extractor:
-    def __init__(self, builder: PlanBuilder, *, quantize: bool) -> None:
+    def __init__(self, builder: PlanBuilder) -> None:
         self.builder = builder
-        self.quantize = quantize
 
     # Every ``_lower_*`` returns ``(out_ref, out_shape)``.  When ``dest``
     # is set the layer is branch-final: it must leave its output in the
@@ -255,8 +253,7 @@ class _Extractor:
         out_ref, out_channels = self._dest_or_slot(dest, out_shape)
         self.builder.emit(ops.ConvOp(
             layer=conv.name, fused=tuple([conv.name] + fused),
-            weight=make_weight(conv.flat_weight(), quantize=self.quantize,
-                               channel_axis=0),
+            weight=conv.flat_weight(),
             bias=None if conv.bias is None else conv.bias.value.copy(),
             scale=scale, shift=shift, relu=has_relu,
             kernel=conv.kernel_size, stride=conv.stride, pad=conv.padding,
@@ -275,8 +272,7 @@ class _Extractor:
         out_ref, out_channels = self._dest_or_slot(dest, out_shape)
         self.builder.emit(ops.DenseOp(
             layer=dense.name, fused=tuple([dense.name] + fused),
-            weight=make_weight(dense.weight.value, quantize=self.quantize,
-                               channel_axis=1),
+            weight=dense.weight.value,
             bias=None if dense.bias is None else dense.bias.value.copy(),
             scale=scale, shift=shift, relu=has_relu,
             in_features=dense.in_features, out_features=dense.out_features,
@@ -369,7 +365,6 @@ class _Extractor:
 
 
 def compile_network(network: Layer, input_shape: tuple[int, ...], *,
-                    quantize: bool = False,
                     label: str | None = None) -> CompiledNetwork:
     """Compile an eval-mode layer tree into a :class:`CompiledNetwork`.
 
@@ -377,7 +372,7 @@ def compile_network(network: Layer, input_shape: tuple[int, ...], *,
     Raises :class:`UnsupportedLayerError` when any layer has no lowering.
     """
     builder = PlanBuilder(tuple(int(d) for d in input_shape))
-    extractor = _Extractor(builder, quantize=bool(quantize))
+    extractor = _Extractor(builder)
     out_ref, _ = extractor.lower(network, builder.input_ref(),
                                  builder.slots[0].shape)
     if out_ref.slot == 0:

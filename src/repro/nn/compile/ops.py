@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.compile.plan import BindContext, PlanOp, SlotRef
-from repro.nn.compile.quantize import PlanWeight
 
 _ZERO = np.float32(0.0)
 _ONE = np.float32(1.0)
@@ -113,14 +112,17 @@ class ConvOp(_EpilogueMixin, PlanOp):
     kind = "conv"
 
     def __init__(self, *, layer: str, fused: tuple[str, ...],
-                 weight: PlanWeight, bias, scale, shift, relu: bool,
+                 weight: np.ndarray, bias, scale, shift, relu: bool,
                  kernel: tuple[int, int], stride: tuple[int, int],
                  pad: tuple[int, int], in_shape: tuple[int, int, int],
                  out_shape: tuple[int, int, int], in_ref: SlotRef,
                  out_ref: SlotRef,
                  out_channels: tuple[int, int] | None) -> None:
         super().__init__(layer=layer, fused=fused)
-        self.weight = weight
+        # A plan-owned float32 snapshot, never a view of the parameter:
+        # the plan keeps the weights it was compiled with until the
+        # model invalidates it.
+        self.weight = np.array(weight, dtype=np.float32, order="C")
         self._init_epilogue(bias, scale, shift, relu)
         self.kernel, self.stride, self.pad = kernel, stride, pad
         self.in_shape, self.out_shape = in_shape, out_shape
@@ -143,7 +145,7 @@ class ConvOp(_EpilogueMixin, PlanOp):
 
     def bind(self, rt: BindContext):
         n = rt.n
-        flat_w = self.weight.materialize()
+        flat_w = self.weight
         dest4 = rt.dest(self.out_ref, self.out_channels)
         if not self.tile:
             c, h, w = self.in_shape
@@ -212,12 +214,12 @@ class DenseOp(_EpilogueMixin, PlanOp):
     kind = "dense"
 
     def __init__(self, *, layer: str, fused: tuple[str, ...],
-                 weight: PlanWeight, bias, scale, shift, relu: bool,
+                 weight: np.ndarray, bias, scale, shift, relu: bool,
                  in_features: int, out_features: int, in_ref: SlotRef,
                  out_ref: SlotRef,
                  out_channels: tuple[int, int] | None = None) -> None:
         super().__init__(layer=layer, fused=fused)
-        self.weight = weight
+        self.weight = np.array(weight, dtype=np.float32, order="C")
         self._init_epilogue(bias, scale, shift, relu)
         self.in_features, self.out_features = in_features, out_features
         self.in_ref, self.out_ref = in_ref, out_ref
@@ -227,7 +229,7 @@ class DenseOp(_EpilogueMixin, PlanOp):
         return [self.in_ref, self.out_ref]
 
     def bind(self, rt: BindContext):
-        w = self.weight.materialize()
+        w = self.weight
         dest2 = rt.dest(self.out_ref, self.out_channels)
         get_in = rt.reader(self.in_ref)
         epilogue = self._bind_epilogue(dest2, channels_first=False)

@@ -14,6 +14,11 @@ from typing import Callable
 import numpy as np
 
 from repro.exceptions import ConfigurationError, NotFittedError, ShapeError
+from repro.nn.compile import (
+    UnsupportedLayerError,
+    active_backend_name,
+    compile_network,
+)
 from repro.nn.layers.activations import softmax
 from repro.nn.layers.base import Layer
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
@@ -170,7 +175,7 @@ class NeuralNetwork:
                            batch_size: int = 128) -> np.ndarray:
         """Run inference in memory-bounded batches, eval mode.
 
-        The active backend's compiled plan runs every chunk (full chunks
+        The model's compiled plan runs every chunk (full chunks
         and a ragged tail share its one arena); the reference layer
         forward runs instead under the ``reference`` backend or when the
         model has a layer without a compiled lowering.  Only that
@@ -192,13 +197,19 @@ class NeuralNetwork:
         return np.concatenate(chunks, axis=0)
 
     def _compiled_plan(self, input_shape: tuple[int, ...]):
-        """The active backend's plan for this input shape, or None."""
-        from repro.nn.compile.backends import active_backend
-        backend = active_backend()
-        key = (backend.name, tuple(input_shape))
+        """The compiled plan for this input shape, or None to run the
+        reference forward (selected, or the model does not lower)."""
+        backend = active_backend_name()
+        if backend == "reference":
+            return None
+        key = (backend, tuple(input_shape))
         if key not in self._plans:
-            self._plans[key] = backend.compile_model(self.network,
-                                                     input_shape)
+            try:
+                self._plans[key] = compile_network(self.network,
+                                                   input_shape)
+            except UnsupportedLayerError:
+                # Cache the miss so the lowering is tried once per shape.
+                self._plans[key] = None
         return self._plans[key]
 
     def invalidate_plans(self) -> None:

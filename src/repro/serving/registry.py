@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.exceptions import ConfigurationError, ServingError
-from repro.nn.compile.backends import DEFAULT_BACKEND, get_backend
 from repro.streaming.runtime import PRIVACY_LADDER
 
 
@@ -57,52 +56,30 @@ class ServingModelRegistry:
     Args:
         default: name of the variant used when no route matches; defaults
             to the first registered variant.
-        backend: inference backend name every variant executes under
-            unless individually overridden at :meth:`register` time
-            (see :mod:`repro.nn.compile.backends`).
     """
 
-    def __init__(self, *, default: str | None = None,
-                 backend: str = DEFAULT_BACKEND) -> None:
-        get_backend(backend)   # validate eagerly
+    def __init__(self, *, default: str | None = None) -> None:
         self._records: dict[str, ModelRecord] = {}
         self._routes: dict[str | None, str] = {}
         self._default = default
         self._lock = threading.RLock()
-        self.backend = backend
-        self._backends: dict[str, str] = {}
         self.swaps = 0
 
     # -- registration ----------------------------------------------------
     def register(self, name: str, model: Any = None, *,
-                 loader: Callable[[], Any] | None = None,
-                 backend: str | None = None) -> None:
-        """Bind ``name`` to a live model or a lazy loader (exactly one).
-
-        ``backend`` pins this variant to a specific inference backend;
-        unset variants follow the registry-wide default (so e.g. the
-        dCNN ladder can run int8 plans while the ensemble stays float).
-        """
+                 loader: Callable[[], Any] | None = None) -> None:
+        """Bind ``name`` to a live model or a lazy loader (exactly one)."""
         if (model is None) == (loader is None):
             raise ConfigurationError(
                 "register() needs exactly one of model= or loader=")
-        if backend is not None:
-            get_backend(backend)
         with self._lock:
             if name in self._records:
                 raise ConfigurationError(
                     f"variant {name!r} already registered; use swap()")
             self._records[name] = ModelRecord(name=name, model=model,
                                               loader=loader)
-            if backend is not None:
-                self._backends[name] = backend
             if self._default is None:
                 self._default = name
-
-    def backend_for(self, name: str) -> str:
-        """The inference backend name variant ``name`` executes under."""
-        with self._lock:
-            return self._backends.get(name, self.backend)
 
     def register_store(self, name: str, directory: str) -> None:
         """Register a lazily loaded ensemble saved by the model store."""
@@ -207,3 +184,13 @@ class ServingModelRegistry:
             if self._default is None:
                 raise ServingError("registry has no variants registered")
             return self._default
+
+
+def as_registry(model) -> ServingModelRegistry:
+    """``model`` itself when it is a registry, else a one-variant
+    registry serving it as ``"base"``."""
+    if isinstance(model, ServingModelRegistry):
+        return model
+    registry = ServingModelRegistry()
+    registry.register("base", model)
+    return registry

@@ -21,14 +21,14 @@ import numpy as np
 
 from repro.core.darnet import DriveScript
 from repro.exceptions import ConfigurationError
-from repro.nn.compile.backends import DEFAULT_BACKEND
+from repro.nn.compile.backends import DEFAULT_BACKEND, using_backend
 from repro.scenarios.compiler import (
     DriverTrace,
     compile_scenario,
     synthesize_trace,
 )
 from repro.scenarios.spec import ScenarioSpec
-from repro.serving.registry import ServingModelRegistry
+from repro.serving.registry import as_registry
 from repro.serving.server import InferenceServer, ServingVerdict
 
 __all__ = ["DriverTrace", "ReplayReport", "replay_concurrent_drives",
@@ -103,15 +103,6 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _as_registry(model, backend: str = DEFAULT_BACKEND
-                 ) -> ServingModelRegistry:
-    if isinstance(model, ServingModelRegistry):
-        return model
-    registry = ServingModelRegistry(backend=backend)
-    registry.register("base", model)
-    return registry
-
-
 def replay_concurrent_drives(model, *, drivers: int = 8,
                              duration: float = 20.0,
                              grid_period: float = 0.25,
@@ -151,8 +142,7 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
             with ``script``).  When omitted, the replay runs the default
             paper-sweep spec — bit-identical with the pre-DSL hardcoded
             script.
-        backend: inference backend for dispatch when ``model`` is a bare
-            model (a pre-built registry keeps its own backend config);
+        backend: inference backend the replay loop runs under;
             ``reference`` runs the plain layer forward (the oracle).
         observability: stage histograms and request tracing; disable for
             the overhead benchmark's baseline measurement.
@@ -182,7 +172,7 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
     instants = compiled.instants
     traces = compiled.traces()
 
-    registry = _as_registry(model, backend)
+    registry = as_registry(model)
     registry.warm()
     server = InferenceServer(
         registry,
@@ -214,26 +204,27 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
         delivered.extend(verdicts)
 
     masked_frames = 0
-    wall_start = time.perf_counter()
-    for k, t in enumerate(instants):
-        now = float(t)
-        for index, (sid, trace) in enumerate(zip(session_ids, traces)):
-            server.ingest_imu(sid, now, trace.imu[k])
-            masked = (trace.frame_mask is not None
-                      and not trace.frame_mask[k])
-            if masked:
-                masked_frames += 1
-            if not masked and not (sid in killed_sessions
-                                   and now >= kill_time):
-                server.ingest_frame(sid, now, trace.frames[k])
-            session = server.session(sid)
-            before = session.counters.requests
-            if server.request_verdict(sid, now):
-                submitted_at[(sid, before + 1)] = time.perf_counter()
-        absorb(server.step(now))
-        absorb(server.step(now + max_delay))
-    absorb(server.drain(duration))
-    wall_seconds = time.perf_counter() - wall_start
+    with using_backend(backend):
+        wall_start = time.perf_counter()
+        for k, t in enumerate(instants):
+            now = float(t)
+            for index, (sid, trace) in enumerate(zip(session_ids, traces)):
+                server.ingest_imu(sid, now, trace.imu[k])
+                masked = (trace.frame_mask is not None
+                          and not trace.frame_mask[k])
+                if masked:
+                    masked_frames += 1
+                if not masked and not (sid in killed_sessions
+                                       and now >= kill_time):
+                    server.ingest_frame(sid, now, trace.frames[k])
+                session = server.session(sid)
+                before = session.counters.requests
+                if server.request_verdict(sid, now):
+                    submitted_at[(sid, before + 1)] = time.perf_counter()
+            absorb(server.step(now))
+            absorb(server.step(now + max_delay))
+        absorb(server.drain(duration))
+        wall_seconds = time.perf_counter() - wall_start
     metrics = server.metrics_snapshot() if observability else {}
     traces = server.traces() if observability else []
     server.close()

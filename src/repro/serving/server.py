@@ -28,11 +28,10 @@ import numpy as np
 
 from repro.datasets.imu_synth import DEFAULT_WINDOW_STEPS
 from repro.exceptions import ServingError
-from repro.nn.compile.backends import using_backend
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import Span, Tracer
 from repro.serving.admission import AdmissionController, AdmissionDecision
-from repro.serving.registry import ServingModelRegistry
+from repro.serving.registry import ServingModelRegistry, as_registry
 from repro.serving.scheduler import (
     MODALITY_BOTH,
     MODALITY_FRAMES,
@@ -175,10 +174,9 @@ class InferenceServer:
 
     @classmethod
     def for_model(cls, model, **options) -> "InferenceServer":
-        """A server over a single-variant registry (the common case)."""
-        registry = ServingModelRegistry()
-        registry.register("base", model)
-        return cls(registry, **options)
+        """A server over ``model``: a registry as given, or a bare model
+        as a single-variant registry (the common case)."""
+        return cls(as_registry(model), **options)
 
     # -- session lifecycle -----------------------------------------------
     @property
@@ -372,12 +370,7 @@ class InferenceServer:
         model = self.registry.get(batch.model_key)
         observe = self.observability
         forward_start = time.perf_counter() if observe else 0.0
-        kwargs = self._batch_inputs(batch)
-        # Each variant runs under its registered inference backend;
-        # the selection is thread-local, so concurrent dispatch threads
-        # can route different variants through different backends.
-        with using_backend(self.registry.backend_for(batch.model_key)):
-            result = model.predict_degraded(**kwargs)
+        result = model.predict_degraded(**self._batch_inputs(batch))
         combine_start = time.perf_counter() if observe else 0.0
         if observe:
             self._stage["forward"].observe(combine_start - forward_start)

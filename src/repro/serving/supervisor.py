@@ -60,7 +60,7 @@ from repro.serving.journal import (
     VerdictJournal,
     VerdictRecord,
 )
-from repro.serving.registry import ServingModelRegistry
+from repro.serving.registry import as_registry
 from repro.serving.server import InferenceServer, ServingVerdict
 from repro.serving.sessions import DriverSession
 from repro.streaming.health import HealthRegistry, HealthState, Heartbeat
@@ -273,7 +273,7 @@ class ShardSupervisor:
                 "backoff_cap > 0")
         if request_deadline <= 0:
             raise ConfigurationError("request_deadline must be positive")
-        self.registry = self._as_registry(model)
+        self.registry = as_registry(model)
         self.server_options = dict(server_options or {})
         self.backoff_base = float(backoff_base)
         self.backoff_factor = float(backoff_factor)
@@ -335,14 +335,6 @@ class ShardSupervisor:
             self.ring.add(name)
             self.health.register(name, 0.0)
         self._obs_up.set(len(self._shards))
-
-    @staticmethod
-    def _as_registry(model) -> ServingModelRegistry:
-        if isinstance(model, ServingModelRegistry):
-            return model
-        registry = ServingModelRegistry()
-        registry.register("base", model)
-        return registry
 
     def _build_server(self) -> InferenceServer:
         server = InferenceServer(self.registry, **self.server_options)

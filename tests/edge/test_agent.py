@@ -15,7 +15,7 @@ from repro.streaming.reliability import reliable_link
 
 
 def build_agent(tmp_path, model, *, duration=4.0, grid=0.25,
-                drop_probability=0.0, sink=None, backend=None):
+                drop_probability=0.0, sink=None):
     instants = np.arange(0.0, duration, grid)
     script = DriveScript.standard(segment_seconds=1.0, gap_seconds=0.25)
     trace = synthesize_trace(0, instants, script=script,
@@ -24,7 +24,7 @@ def build_agent(tmp_path, model, *, duration=4.0, grid=0.25,
         "uplink", base_latency=0.01, drop_probability=drop_probability,
         rng=np.random.default_rng(9), max_attempts=100)
     registry = ServingModelRegistry()
-    registry.register("edge", model, backend=backend)
+    registry.register("edge", model)
     spool = EdgeSpool.open(str(tmp_path / "spool.wal"))
     uploader = EdgeUploader(spool, sender, agent_id="edge-0", window=8)
     agent = EdgeAgent("edge-0", registry=registry, spool=spool,
@@ -61,24 +61,6 @@ def test_one_verdict_per_sensor_batch_and_full_drain(tmp_path,
     assert len(sink.delivered) == produced
     assert len({(r.session_id, r.sequence)
                 for r in sink.delivered}) == produced
-    agent.close()
-
-
-def test_infer_loop_runs_under_the_registry_backend_pin(tmp_path,
-                                                       edge_ensemble):
-    """A variant pinned to int8 plans infers on int8 plans on-device,
-    not on whatever the process default happens to be."""
-    members = (edge_ensemble.cnn.model, edge_ensemble.imu_model.model)
-    for member in members:
-        member.invalidate_plans()
-    agent, uplink, _, instants, grid = build_agent(
-        tmp_path, edge_ensemble, backend="numpy-compiled-int8")
-    agent.step(float(instants[0]))
-    assert agent.verdicts == 1
-    for member in members:
-        backends = {backend for backend, _ in member._plans}
-        assert backends == {"numpy-compiled-int8"}
-        assert all(plan is not None for plan in member._plans.values())
     agent.close()
 
 

@@ -30,6 +30,7 @@ from repro.nn import (
     BatchNorm,
     Conv2D,
     Dense,
+    Flatten,
     NeuralNetwork,
     ParallelBranches,
     ReLU,
@@ -37,16 +38,12 @@ from repro.nn import (
     Tanh,
     backend_names,
     compile_network,
-    set_default_backend,
     using_backend,
 )
 from repro.nn.compile import (
     DEFAULT_BACKEND,
-    NumpyCompiledBackend,
-    PlanWeight,
     UnsupportedLayerError,
     active_backend_name,
-    get_backend,
     ops,
 )
 from repro.nn.compile.plan import BOUND_CACHE_SIZE
@@ -346,44 +343,21 @@ def test_conv_scratch_is_tile_sized_outside_the_arena():
     assert scratch <= (len(tiled) + 1) * ops.TILE_BYTES
 
 
-def test_int8_weight_roundtrip_error_is_per_channel_bounded():
-    rng = np.random.default_rng(17)
-    weight = rng.standard_normal((8, 27)).astype(np.float32)
-    handle = PlanWeight.quantized(weight, channel_axis=0)
-    assert handle.is_quantized
-    dequantized = handle.materialize()
-    scales = np.abs(weight).max(axis=1) / 127.0
-    assert np.all(np.abs(dequantized - weight)
-                  <= scales[:, None] * 0.5 + 1e-7)
-    assert handle.nbytes_at_rest < weight.nbytes
-
-
-def test_int8_plan_runs_and_stays_finite(cnn):
-    plan = compile_network(cnn, CNN_SHAPE, quantize=True)
-    out = plan.run(_images(5))
-    assert out.shape == (5, 5)
-    assert np.all(np.isfinite(out))
-
-
 # -- backend registry and fallback --------------------------------------
 
 def test_backend_registry_api():
-    assert backend_names() == ["numpy-compiled", "numpy-compiled-int8",
-                               "reference"]
-    with pytest.raises(ConfigurationError):
-        get_backend("no-such-backend")
-    with pytest.raises(ConfigurationError):
-        get_backend("numpy-fast")      # the interpreter is gone
-    with pytest.raises(ConfigurationError):
-        set_default_backend("no-such-backend")
-    with pytest.raises(ConfigurationError):
-        with using_backend("no-such-backend"):
-            pass  # pragma: no cover - must raise before entering
+    assert backend_names() == ["numpy-compiled", "reference"]
+    for unknown in ("no-such-backend",
+                    "numpy-fast",           # the interpreter is gone
+                    "numpy-compiled-int8"):  # so are int8 plans
+        with pytest.raises(ConfigurationError):
+            with using_backend(unknown):
+                pass  # pragma: no cover - must raise before entering
     assert active_backend_name() == DEFAULT_BACKEND == "numpy-compiled"
     with using_backend("reference"):
         assert active_backend_name() == "reference"
-        with using_backend("numpy-compiled-int8"):
-            assert active_backend_name() == "numpy-compiled-int8"
+        with using_backend("numpy-compiled"):
+            assert active_backend_name() == "numpy-compiled"
         assert active_backend_name() == "reference"
     assert active_backend_name() == "numpy-compiled"
 
@@ -393,7 +367,6 @@ def test_unsupported_layer_falls_back_to_reference():
     net.set_training(False)
     with pytest.raises(UnsupportedLayerError):
         compile_network(net, (12,))
-    assert NumpyCompiledBackend().compile_model(net, (12,)) is None
     model = _served(net)
     x = _images(6, (12,))
     with using_backend("reference"):
@@ -460,6 +433,26 @@ def test_invalidate_plans_forces_recompile(cnn_model):
     assert cnn_model._plans == {}
 
 
+def test_plan_keeps_the_weights_it_was_compiled_with():
+    rng = np.random.default_rng(8)
+    conv = Conv2D(1, 2, 3, stride=2, padding=1, rng=rng)
+    dense = Dense(2 * 8 * 8, 5, rng=rng)
+    model = _served(Sequential([conv, ReLU(), Flatten(), dense]))
+    x = _images(3)
+    compiled = model.predict_logits(x)
+    # In-place weight surgery: a plan that aliased the parameters (the
+    # conv's flat kernel is a reshape view of its weight) would see it.
+    conv.weight.value *= np.float32(-1.0)
+    dense.weight.value *= np.float32(2.0)
+    np.testing.assert_array_equal(model.predict_logits(x), compiled)
+    model.invalidate_plans()
+    recompiled = model.predict_logits(x)
+    assert not np.allclose(recompiled, compiled, atol=ATOL, rtol=0)
+    with using_backend("reference"):
+        np.testing.assert_allclose(recompiled, model.predict_logits(x),
+                                   atol=ATOL, rtol=0)
+
+
 # -- profiling attribution ----------------------------------------------
 
 def test_compiled_run_attributes_timings_to_source_layers(cnn_plan):
@@ -510,9 +503,3 @@ def _hold_backend_in_thread(name: str) -> dict[str, str]:
 def test_reference_mode_is_thread_local():
     seen = _hold_backend_in_thread("reference")
     assert seen == {"inside": "reference", "after": DEFAULT_BACKEND}
-
-
-def test_using_backend_is_thread_local():
-    seen = _hold_backend_in_thread("numpy-compiled-int8")
-    assert seen == {"inside": "numpy-compiled-int8",
-                    "after": DEFAULT_BACKEND}

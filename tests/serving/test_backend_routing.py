@@ -1,21 +1,24 @@
-"""Backend routing through the serving tier.
+"""Backend selection through the serving tier and the edge agent.
 
-The registry owns one backend default plus per-variant overrides, and
-the server's dispatch loop must execute each variant under its pinned
-backend (the selection is thread-local, so it cannot leak between
-variants or sessions).  These tests use a recording stub model so the
-routing is observable without a trained ensemble.
+The backend switch is thread-local, and neither the server's dispatch
+nor the edge agent's infer step selects a backend of its own: each runs
+under whatever the calling thread selected, and a replay runs its loop
+under the backend it is given.  These tests use a recording stub model
+so the selection is observable without a trained ensemble.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
+from repro.core.darnet import DriveScript
 from repro.core.ensemble import DegradedPrediction
-from repro.exceptions import ConfigurationError
-from repro.nn.compile import active_backend_name
-from repro.serving import InferenceServer, ServingModelRegistry
+from repro.edge import EdgeAgent, EdgeSpool, EdgeUploader
+from repro.nn.compile import active_backend_name, using_backend
+from repro.serving import InferenceServer
+from repro.serving.registry import as_registry
+from repro.serving.replay import replay_concurrent_drives, synthesize_trace
+from repro.streaming.reliability import reliable_link
 
 
 class RecordingModel:
@@ -37,30 +40,8 @@ class RecordingModel:
         )
 
 
-def test_registry_default_and_per_variant_override():
-    assert ServingModelRegistry().backend == "numpy-compiled"
-    registry = ServingModelRegistry(backend="reference")
-    registry.register("float", RecordingModel())
-    registry.register("quant", RecordingModel(),
-                      backend="numpy-compiled-int8")
-    registry.register("plan", RecordingModel(), backend="numpy-compiled")
-    assert registry.backend_for("float") == "reference"
-    assert registry.backend_for("quant") == "numpy-compiled-int8"
-    assert registry.backend_for("plan") == "numpy-compiled"
-
-
-def test_registry_rejects_unknown_backends():
-    with pytest.raises(ConfigurationError):
-        ServingModelRegistry(backend="no-such-backend")
-    with pytest.raises(ConfigurationError):
-        ServingModelRegistry(backend="numpy-fast")   # deleted interpreter
-    registry = ServingModelRegistry()
-    with pytest.raises(ConfigurationError):
-        registry.register("m", RecordingModel(), backend="no-such-backend")
-
-
-def _verdict_for(server, driver, privacy, now):
-    sid = server.open_session(driver, privacy=privacy)
+def _verdict_for(server, driver, now):
+    sid = server.open_session(driver)
     window = np.zeros(12, dtype=np.float32)
     for k in range(4):
         server.ingest_imu(sid, now + 0.25 * k, window)
@@ -69,23 +50,38 @@ def _verdict_for(server, driver, privacy, now):
     return server.drain(deadline + server.scheduler.max_delay)
 
 
-def test_dispatch_runs_each_variant_under_its_pinned_backend():
-    float_model, quant_model = RecordingModel(), RecordingModel()
-    oracle_model = RecordingModel()
-    registry = ServingModelRegistry(default="float")
-    registry.register("float", float_model)
-    registry.register("quant", quant_model, backend="numpy-compiled-int8")
-    registry.register("oracle", oracle_model, backend="reference")
-    registry.bind("high", "quant")
-    registry.bind("low", "oracle")
-    server = InferenceServer(registry, max_batch=4)
+def test_server_dispatch_runs_under_the_callers_backend():
+    model = RecordingModel()
+    server = InferenceServer.for_model(model, max_batch=4)
+    with using_backend("reference"):
+        assert _verdict_for(server, 0, 0.0)
+    assert _verdict_for(server, 1, 10.0)
+    assert model.backends_seen == ["reference", "numpy-compiled"]
 
-    assert _verdict_for(server, 0, None, 0.0)
-    assert _verdict_for(server, 1, "high", 10.0)
-    assert _verdict_for(server, 2, "low", 20.0)
 
-    assert float_model.backends_seen == ["numpy-compiled"]
-    assert quant_model.backends_seen == ["numpy-compiled-int8"]
-    assert oracle_model.backends_seen == ["reference"]
-    # The thread-local selection must not linger after dispatch.
+def test_edge_agent_infers_under_the_callers_backend(tmp_path):
+    model = RecordingModel()
+    instants = np.arange(0.0, 1.0, 0.25)
+    trace = synthesize_trace(
+        0, instants, script=DriveScript.standard(segment_seconds=1.0),
+        rng=np.random.default_rng(0))
+    sender, _ = reliable_link("uplink", rng=np.random.default_rng(1))
+    spool = EdgeSpool.open(str(tmp_path / "spool.wal"))
+    agent = EdgeAgent("edge-0", registry=as_registry(model), spool=spool,
+                      uploader=EdgeUploader(spool, sender, agent_id="edge-0"),
+                      trace=trace, instants=instants)
+    with using_backend("reference"):
+        agent.step(float(instants[0]))
+    agent.close()
+    assert agent.verdicts == 1
+    assert model.backends_seen == ["reference"]
+
+
+def test_replay_runs_every_batch_under_its_backend():
+    model = RecordingModel()
+    report = replay_concurrent_drives(model, drivers=2, duration=2.0,
+                                      kill_camera=0, backend="reference")
+    assert report.verdicts > 0
+    assert model.backends_seen
+    assert set(model.backends_seen) == {"reference"}
     assert active_backend_name() == "numpy-compiled"
