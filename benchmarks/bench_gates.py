@@ -112,23 +112,30 @@ def build_models():
     return ensemble, students, dataset
 
 
-def best_seconds(fn, repeats: int) -> float:
-    """Best-of-``repeats`` wall time of ``fn()`` after two untimed calls.
+def best_seconds(sides: dict, repeats: int) -> dict:
+    """Best-of-``repeats`` wall time of each side's call, after two
+    untimed calls of each.
 
-    The collector is paused around the timed calls so a cycle sweep
-    cannot land mid-call; best-of-N discards the scheduler noise a
-    shared host adds on top.
+    The sides take turns within every repeat, and which side goes first
+    alternates between repeats, so a swing in the host's load lands on
+    both sides of a ratio instead of on one block of repeats.  The
+    collector is paused around the timed calls so a cycle sweep cannot
+    land mid-call; best-of-N discards the scheduler noise a shared host
+    adds on top.
     """
-    fn()
-    fn()
+    for fn in sides.values():
+        fn()
+        fn()
+    order = list(sides)
+    best = dict.fromkeys(order, np.inf)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        best = np.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
+        for repeat in range(repeats):
+            for name in order if repeat % 2 == 0 else order[::-1]:
+                start = time.perf_counter()
+                sides[name]()
+                best[name] = min(best[name], time.perf_counter() - start)
     finally:
         if was_enabled:
             gc.enable()
@@ -170,9 +177,10 @@ def run_matrix(quick: bool) -> tuple[dict, dict]:
     for model in models:
         cells[model] = {}
         for batch in batches:
-            fwd = partial(forward, model, batch)
-            reference = on("reference", best_seconds, fwd, repeats)
-            compiled = on(COMPILED, best_seconds, fwd, repeats)
+            best = best_seconds(
+                {backend: partial(on, backend, forward, model, batch)
+                 for backend in ("reference", COMPILED)}, repeats)
+            reference, compiled = best["reference"], best[COMPILED]
             cells[model][f"batch_{batch}"] = {
                 "reference_s": round(reference, 5),
                 f"{COMPILED}_s": round(compiled, 5),

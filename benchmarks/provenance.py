@@ -45,16 +45,26 @@ def _blas_info() -> dict:
     return info
 
 
-def _git_revision() -> str | None:
+def _git(*args: str) -> subprocess.CompletedProcess | None:
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5,
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, timeout=5,
             cwd=os.path.dirname(os.path.abspath(__file__)))
     except (OSError, subprocess.SubprocessError):
         return None
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else None
+
+
+def _git_revision() -> str | None:
+    """Short HEAD revision, with ``-dirty`` appended when tracked files
+    differ from it: a record made from an uncommitted tree must not name
+    the parent as what it measured."""
+    out = _git("rev-parse", "--short", "HEAD")
+    rev = out.stdout.strip() if out is not None else ""
+    if out is None or out.returncode != 0 or not rev:
+        return None
+    diff = _git("diff", "--quiet", "HEAD", "--")
+    return f"{rev}-dirty" if diff is not None and diff.returncode == 1 \
+        else rev
 
 
 def host_provenance() -> dict:

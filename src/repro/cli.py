@@ -200,63 +200,52 @@ def _model_for_scenario(args: argparse.Namespace, spec):
         rng=rng)
 
 
+def _report_chaos(report, metrics_out: str | None = None) -> int:
+    """Print a chaos report, save its metrics snapshot to ``metrics_out``,
+    list its invariant violations on stderr; exit 1 on any violation."""
+    print()
+    print(report.format_report())
+    if metrics_out:
+        from repro.obs import bundle, save_snapshot
+
+        save_snapshot(bundle(report.metrics, []), metrics_out)
+        print(f"\nSnapshot saved to {metrics_out} "
+              f"(inspect with `repro stats {metrics_out}`)")
+    if not report.violations:
+        return 0
+    print(f"\nCHAOS FAILED: {len(report.violations)} invariant "
+          f"violation(s)", file=sys.stderr)
+    for violation in report.violations:
+        print(f"  - {violation}", file=sys.stderr)
+    return 1
+
+
 def _cmd_serving_chaos(args: argparse.Namespace) -> int:
     from repro.serving import run_serving_chaos
 
     scenario = _load_scenario(args)
     ensemble = _model_for_scenario(args, scenario)
-    drivers = scenario.drivers if scenario is not None else args.drivers
-    duration = scenario.duration if scenario is not None else args.duration
-    seed = scenario.seed if scenario is not None else args.seed
-    print(f"Running serving chaos: {drivers} drivers on "
-          f"{args.shards} shards, {duration:.0f} s drive "
-          f"(seed {seed})...")
-    report = run_serving_chaos(
+    shape = scenario or args  # the spec is authoritative for the shape
+    print(f"Running serving chaos: {shape.drivers} drivers on "
+          f"{args.shards} shards, {shape.duration:.0f} s drive "
+          f"(seed {shape.seed})...")
+    return _report_chaos(run_serving_chaos(
         ensemble, shards=args.shards, drivers=args.drivers,
-        duration=args.duration, seed=args.seed, scenario=scenario)
-    print()
-    print(report.format_report())
-    if args.metrics_out:
-        from repro.obs import bundle, save_snapshot
-
-        save_snapshot(bundle(report.metrics, []), args.metrics_out)
-        print(f"\nSnapshot saved to {args.metrics_out} "
-              f"(inspect with `repro stats {args.metrics_out}`)")
-    if report.violations:
-        print(f"\nCHAOS FAILED: {len(report.violations)} invariant "
-              f"violation(s)", file=sys.stderr)
-        return 1
-    return 0
+        duration=args.duration, seed=args.seed, scenario=scenario),
+        args.metrics_out)
 
 
-def _cmd_edge_chaos(args: argparse.Namespace) -> int:
+def _run_edge(args: argparse.Namespace, banner: str, **options) -> int:
     from repro.edge import run_edge_chaos
 
     ensemble = _load_or_train_model(args)
-    print(f"Running edge chaos: {args.agents} agents, "
-          f"{args.duration:.0f} s drive (seed {args.seed})...")
-    report = run_edge_chaos(
+    print(banner)
+    return _report_chaos(run_edge_chaos(
         ensemble, agents=args.agents, duration=args.duration,
-        seed=args.seed)
-    print()
-    print(report.format_report())
-    if args.metrics_out:
-        from repro.obs import bundle, save_snapshot
-
-        save_snapshot(bundle(report.metrics, []), args.metrics_out)
-        print(f"\nSnapshot saved to {args.metrics_out} "
-              f"(inspect with `repro stats {args.metrics_out}`)")
-    if report.violations:
-        print(f"\nCHAOS FAILED: {len(report.violations)} invariant "
-              f"violation(s)", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    return 0
+        seed=args.seed, **options), getattr(args, "metrics_out", None))
 
 
 def _cmd_edge(args: argparse.Namespace) -> int:
-    from repro.edge import run_edge_chaos
     from repro.streaming.faults import FaultSchedule
 
     if not args.drive:
@@ -264,69 +253,24 @@ def _cmd_edge(args: argparse.Namespace) -> int:
               "--drive to replay a clean fleet drive through on-device "
               "inference, the upload spool and the OTA lifecycle.")
         return 2
-    ensemble = _load_or_train_model(args)
-    print(f"Driving {args.agents} edge agents for {args.duration:.0f} s "
-          f"(no injected faults, seed {args.seed})...")
-    report = run_edge_chaos(
-        ensemble, agents=args.agents, duration=args.duration,
-        seed=args.seed, schedule=FaultSchedule([]))
-    print()
-    print(report.format_report())
-    return 1 if report.violations else 0
+    return _run_edge(
+        args, f"Driving {args.agents} edge agents for {args.duration:.0f} "
+        f"s (no injected faults, seed {args.seed})...",
+        schedule=FaultSchedule([]))
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.serving:
         return _cmd_serving_chaos(args)
     if args.edge:
-        return _cmd_edge_chaos(args)
+        return _run_edge(args, f"Running edge chaos: {args.agents} agents, "
+                         f"{args.duration:.0f} s drive (seed {args.seed})...")
     from repro.streaming import run_chaos_drive
 
     print(f"Running the scripted chaos drive ({args.duration:.0f} s, "
           f"seed {args.seed})...")
-    report = run_chaos_drive(duration=args.duration, seed=args.seed)
-    print("\n== Transport ==")
-    print(f"IMU tuples: {report.imu_arrived}/{report.imu_taken} delivered "
-          f"({report.imu_delivery_ratio * 100:.2f}%)")
-    phone, dashcam = report.phone_sender_stats, report.dashcam_sender_stats
-    print(f"phone sender: {phone.sent} sent, {phone.retransmissions} "
-          f"retransmitted, {phone.shed_data} shed, {phone.abandoned} "
-          f"abandoned")
-    print(f"dashcam sender: {dashcam.sent} sent, {dashcam.retransmissions} "
-          f"retransmitted, {dashcam.shed_frames} frames shed")
-    print("\n== Health ==")
-    for agent_id, state in report.agent_states.items():
-        print(f"{agent_id}: {state.value} at end of drive")
-    print(f"quarantined at some point: "
-          f"{report.health['ever_quarantined'] or 'none'}")
-    print(f"fault counts: {report.health['fault_counts']}")
-    print(f"readings quarantined: {report.readings_quarantined}")
-    print("\n== Placement ==")
-    for when, location in report.breaker_transitions:
-        print(f"t={when:6.2f}s  -> {location.value}")
-    print(f"final placement: {report.breaker_location}")
-    print("\n== Privacy ==")
-    print(f"escalations: {report.privacy_escalations}, "
-          f"relaxations: {report.privacy_relaxations}, "
-          f"final level: {report.final_privacy_level or 'undistorted'}")
-    if report.first_escalation_at is not None:
-        print(f"first escalation at t={report.first_escalation_at:.2f}s")
-    print("\n== Verdict windows ==")
-    for window in report.windows:
-        flag = (f"DEGRADED (missing {', '.join(window.missing)})"
-                if window.degraded else "full fidelity")
-        print(f"[{window.start:5.1f}, {window.end:5.1f})  "
-              f"imu={window.imu_readings:4d}  frames={window.frames:2d}  "
-              f"{flag}")
-    print(f"\n{report.degraded_windows}/{len(report.windows)} windows "
-          f"degraded; every window still receives a verdict.")
-    if report.violations:
-        print(f"\nCHAOS FAILED: {len(report.violations)} invariant "
-              f"violation(s)", file=sys.stderr)
-        for violation in report.violations:
-            print(f"  - {violation}", file=sys.stderr)
-        return 1
-    return 0
+    return _report_chaos(run_chaos_drive(duration=args.duration,
+                                         seed=args.seed))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

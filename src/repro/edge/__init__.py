@@ -10,7 +10,6 @@ automatic probe-regression rollback.
 
 from repro.edge.agent import WINDOW_STEPS, EdgeAgent
 from repro.edge.chaos import (
-    EdgeChaosHarness,
     EdgeChaosReport,
     run_edge_chaos,
     sabotage_release,
@@ -35,7 +34,6 @@ from repro.edge.uploader import (
 
 __all__ = [
     "EdgeAgent",
-    "EdgeChaosHarness",
     "EdgeChaosReport",
     "EdgeSpool",
     "EdgeUplinkReceiver",

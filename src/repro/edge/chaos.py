@@ -25,7 +25,10 @@ mark the release bad fleet-wide.
 
 :func:`run_edge_chaos` audits the invariants and collects violations
 (not raises), so the CLI can print the audit and exit non-zero — the
-``edge-chaos-smoke`` CI job runs exactly that.
+``chaos-smoke`` CI job runs exactly that.  The faults move through the
+one :class:`~repro.streaming.faults.ChaosHarness`, and the controller
+side is checked by the ledger audit the serving drive uses,
+:func:`~repro.serving.journal.audit_ledger`.
 """
 
 from __future__ import annotations
@@ -41,23 +44,29 @@ import numpy as np
 
 from repro.core.darnet import DriveScript
 from repro.core.model_store import artifact_digests, save_ensemble
-from repro.datasets.classes import DrivingBehavior
 from repro.datasets.dataset import generate_driving_dataset
 from repro.edge.agent import EdgeAgent
 from repro.edge.manifest import ReleaseManifest
 from repro.edge.ota import DOWNLOADING, IDLE, OtaClient, OtaServer
 from repro.edge.spool import EdgeSpool, replay_spool
 from repro.edge.uploader import EdgeUplinkReceiver, EdgeUploader
-from repro.exceptions import ConfigurationError
 from repro.obs.metrics import get_registry
+from repro.scenarios.compiler import compile_scenario
+from repro.scenarios.spec import resolve_fleet
 from repro.serving.journal import (
     StoreAndForwardSink,
     VerdictJournal,
-    replay_journal,
+    audit_ledger,
 )
 from repro.serving.registry import ServingModelRegistry
-from repro.serving.replay import synthesize_trace
-from repro.streaming.faults import FaultEvent, FaultSchedule
+from repro.streaming.faults import (
+    ChaosHarness,
+    FaultEvent,
+    FaultSchedule,
+    Lever,
+    channel_blackhole,
+    switch,
+)
 from repro.streaming.health import HealthRegistry
 from repro.streaming.reliability import reliable_link
 
@@ -129,80 +138,48 @@ def standard_edge_schedule(duration: float = 24.0) -> FaultSchedule:
     ])
 
 
-class EdgeChaosHarness:
-    """Reconciles fleet + OTA server state with a fault schedule.
+def _staged_bytes(ota: OtaClient) -> int:
+    total = 0
+    for entry in os.listdir(ota.state_dir):
+        stage = os.path.join(ota.state_dir, entry)
+        if entry.startswith("stage-") and os.path.isdir(stage):
+            total += sum(os.path.getsize(os.path.join(stage, f))
+                         for f in os.listdir(stage))
+    return total
 
-    ``uplink_blackhole`` and ``ota_corrupt_artifact`` are
-    level-triggered; ``ota_download_kill`` is edge-triggered — it fires
-    once per event, at the first tick the target agent is demonstrably
-    mid-download (phase DOWNLOADING with staged bytes on disk), by
-    rebuilding the agent's OTA client on the same state directory.
-    """
 
-    def __init__(self, schedule: FaultSchedule, server: OtaServer,
-                 agents: dict[str, EdgeAgent],
+def _edge_levers(server: OtaServer, fleet: dict[str, EdgeAgent],
                  links: dict[str, tuple],
-                 rebuild_ota: Callable[[EdgeAgent], OtaClient]) -> None:
-        self.schedule = schedule
-        self.server = server
-        self.agents = agents
-        self.links = links
-        self.rebuild_ota = rebuild_ota
-        self.log: list[tuple[float, str, str, str]] = []
-        self.kills = 0
-        self._blackholed: dict[str, tuple[float, float]] = {}
-        self._killed_events: set[FaultEvent] = set()
+                 rebuild_ota: Callable[[EdgeAgent], OtaClient]
+                 ) -> list[Lever]:
+    """Per agent an uplink blackhole over both channels of its link; per
+    release (v1-v3) a corrupt-in-transit switch on the OTA server; per
+    agent a download kill, fired once per event at the first tick the
+    agent is demonstrably mid-download (phase DOWNLOADING with staged
+    bytes on disk) by rebuilding its OTA client on the same state
+    directory."""
+    def corrupt(version: int) -> Lever:
+        def turn(on: bool) -> None:
+            versions = server.corrupt_versions
+            versions.add(version) if on else versions.discard(version)
 
-    def apply(self, now: float) -> None:
-        for agent_id, (data, ack) in self.links.items():
-            active = self.schedule.active_for(
-                "uplink_blackhole", agent_id, now) is not None
-            if active and agent_id not in self._blackholed:
-                self._blackholed[agent_id] = (data.drop_probability,
-                                              ack.drop_probability)
-                data.drop_probability = 1.0
-                ack.drop_probability = 1.0
-                self.log.append((now, "uplink_blackhole", agent_id, "on"))
-            elif not active and agent_id in self._blackholed:
-                data.drop_probability, ack.drop_probability = \
-                    self._blackholed.pop(agent_id)
-                self.log.append((now, "uplink_blackhole", agent_id, "off"))
-        corrupt = {
-            int(event.target)
-            for event in self.schedule.events
-            if event.kind == "ota_corrupt_artifact" and event.active(now)
-            and event.target != "*"
-        }
-        if corrupt != self.server.corrupt_versions:
-            self.server.corrupt_versions = corrupt
-            self.log.append((now, "ota_corrupt_artifact",
-                             ",".join(map(str, sorted(corrupt))) or "-",
-                             "on" if corrupt else "off"))
-        for event in self.schedule.events:
-            if event.kind != "ota_download_kill" or not event.active(now) \
-                    or event in self._killed_events:
-                continue
-            agent = self.agents.get(event.target)
-            if agent is None or agent.ota is None:
-                continue
-            if agent.ota.phase != DOWNLOADING:
-                continue
-            if self._staged_bytes(agent.ota) <= 0:
-                continue
-            agent.ota = self.rebuild_ota(agent)
-            self._killed_events.add(event)
-            self.kills += 1
-            self.log.append((now, "ota_download_kill", event.target, "on"))
+        return switch("ota_corrupt_artifact", str(version), turn)
 
-    @staticmethod
-    def _staged_bytes(ota: OtaClient) -> int:
-        total = 0
-        for entry in os.listdir(ota.state_dir):
-            stage = os.path.join(ota.state_dir, entry)
-            if entry.startswith("stage-") and os.path.isdir(stage):
-                total += sum(os.path.getsize(os.path.join(stage, f))
-                             for f in os.listdir(stage))
-        return total
+    def download_kill(agent: EdgeAgent) -> Lever:
+        def ready() -> bool:
+            return (agent.ota.phase == DOWNLOADING
+                    and _staged_bytes(agent.ota) > 0)
+
+        def kill(event: FaultEvent) -> None:
+            agent.ota = rebuild_ota(agent)
+
+        return Lever("ota_download_kill", agent.agent_id, kill,
+                     ready=ready, once=True)
+
+    return [*(channel_blackhole("uplink_blackhole", agent_id, *link)
+              for agent_id, link in links.items()),
+            *(corrupt(version) for version in (1, 2, 3)),
+            *(download_kill(agent) for agent in fleet.values())]
 
 
 @dataclass
@@ -296,22 +273,17 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
         workdir: scratch directory (spools, controller journal, OTA
             state, releases); when omitted, a temporary directory that
             is deleted once the fleet and the journal close cleanly.
-        script: drive behaviour script; standard all-behaviours default.
+        script: drive behaviour script; the paper sweep by default.
     """
-    if agents < 1 or duration <= 0 or grid_period <= 0:
-        raise ConfigurationError(
-            "need agents >= 1, duration > 0, grid_period > 0")
+    compiled = compile_scenario(resolve_fleet(
+        None, script, drivers=agents, duration=duration,
+        grid_period=grid_period, seed=seed))
+    instants = compiled.instants
     if schedule is None:
         schedule = standard_edge_schedule(duration)
     workspace = workdir or tempfile.mkdtemp(prefix="edge-chaos-")
     os.makedirs(workspace, exist_ok=True)
     rng = np.random.default_rng(seed)
-    instants = np.arange(0.0, duration, grid_period)
-    if script is None:
-        behaviors = list(DrivingBehavior)
-        segment = max(1.0, duration / len(behaviors) - 0.25)
-        script = DriveScript.standard(segment_seconds=segment,
-                                      gap_seconds=0.25)
     agent_ids = [f"edge-{i}" for i in range(agents)]
 
     # -- releases: v1 good, v2 good (corrupted in transit), v3 sabotaged --
@@ -378,21 +350,18 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
         spool = EdgeSpool(os.path.join(workspace, f"spool-{agent_id}.wal"))
         uploader = EdgeUploader(spool, sender, agent_id=agent_id,
                                 window=16)
-        trace = synthesize_trace(
-            index, instants, script=script,
-            rng=np.random.default_rng(seed + 1000 + index))
         fleet[agent_id] = EdgeAgent(
             agent_id, registry=registry, spool=spool, uploader=uploader,
-            trace=trace, instants=instants,
+            trace=compiled.trace_for(index), instants=instants,
             ota=build_ota(agent_id, registry), health=health,
             intervals=(grid_period, grid_period, grid_period,
                        update_interval))
         receivers.append(EdgeUplinkReceiver(receiver, sink))
 
-    harness = EdgeChaosHarness(
-        schedule, server, fleet, links,
+    harness = ChaosHarness(schedule, _edge_levers(
+        server, fleet, links,
         rebuild_ota=lambda agent: build_ota(agent.agent_id,
-                                            agent.registry))
+                                            agent.registry)))
     baseline_accuracy = float(np.mean(
         model.predict_degraded(images=probe_images, imu=probe_imu)
         .predictions == probe_labels))
@@ -444,17 +413,13 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
             for agent_id, agent in fleet.items()
             for sequence in range(1, agent._sequence + 1)
         }
-        delivered_records = sink.delivered
-        delivered_ids = {record.record_id for record in delivered_records}
-        duplicates = len(delivered_records) - len(delivered_ids)
-        lost = produced_ids - delivered_ids
+        delivered_ids = {record.record_id for record in sink.delivered}
         residue = sum(agent.spool.depth for agent in fleet.values())
 
         for agent in fleet.values():
             agent.close()
         journal.close()
-        journal_replay = replay_journal(journal.path)
-        unjournaled = delivered_ids - journal_replay.ids
+        audit = audit_ledger(produced_ids, delivered_ids, sink, journal.path)
         spool_torn = 0
         spool_truncated = 0
         for agent in fleet.values():
@@ -476,38 +441,15 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
         rejections = sum(agent.ota.integrity_rejections
                          for agent in fleet.values())
         resumed = sum(agent.ota.bytes_resumed for agent in fleet.values())
-        blackholes = sum(1 for entry in harness.log
-                         if entry[1] == "uplink_blackhole"
-                         and entry[3] == "on")
+        kills = harness.count("ota_download_kill")
 
-        violations: list[str] = []
-        if lost:
-            violations.append(
-                f"{len(lost)} spooled records never reached the "
-                f"controller (e.g. {sorted(lost)[:3]})")
-        if duplicates:
-            violations.append(
-                f"{duplicates} duplicate downstream deliveries")
+        violations = [*audit.violations, *harness.unengaged()]
         if residue:
             violations.append(
                 f"{residue} records still spooled after settle")
         if spool_torn:
             violations.append(
                 f"{spool_torn} torn spool frames after a clean close")
-        if journal_replay.torn:
-            violations.append(
-                f"{journal_replay.torn} torn controller journal frames "
-                "after a clean close")
-        if unjournaled:
-            violations.append(
-                f"{len(unjournaled)} delivered records missing from the "
-                "controller journal replay")
-        has_blackhole = any(e.kind == "uplink_blackhole"
-                            for e in schedule.events)
-        if has_blackhole and blackholes == 0:
-            violations.append(
-                "schedule has uplink_blackhole events but no uplink was "
-                "blackholed (chaos did not engage)")
         corrupt_targets = {
             int(e.target) for e in schedule.events
             if e.kind == "ota_corrupt_artifact" and e.target != "*"}
@@ -533,13 +475,7 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
             if pinned_bad:
                 violations.append(
                     f"sabotaged release v3 stayed pinned on {pinned_bad}")
-        has_kill = any(e.kind == "ota_download_kill"
-                       for e in schedule.events)
-        if has_kill and harness.kills == 0:
-            violations.append(
-                "schedule has ota_download_kill events but no updater "
-                "was killed (chaos did not engage)")
-        if harness.kills and resumed == 0:
+        if kills and resumed == 0:
             violations.append(
                 "a killed download restarted from scratch instead of "
                 "resuming")
@@ -558,15 +494,15 @@ def run_edge_chaos(model, *, agents: int = 3, duration: float = 24.0,
             clips=sum(agent.clips for agent in fleet.values()),
             produced=len(produced_ids),
             delivered=len(delivered_ids),
-            duplicates=duplicates,
-            lost=len(lost),
+            duplicates=audit.duplicates,
+            lost=len(audit.lost),
             spool_torn=spool_torn,
             spool_truncated=spool_truncated,
             spool_residue=residue,
-            journal_records=len(journal_replay.records),
-            journal_torn=journal_replay.torn,
-            uplink_blackholes=blackholes,
-            ota_kills=harness.kills,
+            journal_records=len(audit.journal.records),
+            journal_torn=audit.torn,
+            uplink_blackholes=harness.count("uplink_blackhole"),
+            ota_kills=kills,
             ota_installs=installs,
             ota_rollbacks=rollbacks,
             integrity_rejections=rejections,

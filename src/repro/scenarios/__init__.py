@@ -8,7 +8,7 @@ existing ``imu_synth``/``image_synth`` generators (spec + seed ⇒
 byte-identical streams).  One committed spec file therefore drives all
 three consumers: labelled training windows (``scenario_training_set``),
 concurrent fleet replay (``repro serve --replay --scenario``), and
-scenario-native fault injection through the chaos harnesses.
+scenario-native fault injection through the serving chaos drive.
 """
 
 from repro.scenarios.compiler import (
@@ -34,6 +34,7 @@ from repro.scenarios.spec import (
     RoadProfile,
     ScenarioSpec,
     Timeline,
+    resolve_fleet,
 )
 from repro.scenarios.training import scenario_training_set
 
@@ -42,6 +43,6 @@ __all__ = [
     "EnvironmentTrack", "GpsRoute", "LightingPhase", "NoiseRegime",
     "RoadProfile", "ScenarioSpec", "Timeline", "compile_scenario",
     "extended_cnn_config", "extended_rnn_config", "project_probs_to_paper",
-    "scenario_fault_schedule", "scenario_training_set", "synthesize_trace",
-    "train_extended_ensemble",
+    "resolve_fleet", "scenario_fault_schedule", "scenario_training_set",
+    "synthesize_trace", "train_extended_ensemble",
 ]

@@ -69,9 +69,9 @@ def synthesize_trace(driver_id: int, instants: np.ndarray, *,
                      rng: np.random.Generator) -> DriverTrace:
     """Raw per-instant IMU vectors and frames for one scripted drive.
 
-    The legacy entry point (kept for the serving and edge harnesses):
-    equivalent to compiling a single-timeline spec with a default
-    environment.
+    The legacy per-driver entry point, kept as the reference the
+    compiler's bit-stability tests compare against: equivalent to
+    compiling a single-timeline spec with a default environment.
     """
     return _synthesize_driver(driver_id, instants, script=script, rng=rng)
 

@@ -5,8 +5,8 @@ out-of-band injection: the compiler bakes them into the traces (covered
 frames rendered occluded, blackout frames masked from ingestion).  This
 module projects them into the chaos vocabulary — a
 :class:`~repro.streaming.faults.FaultSchedule` of ``camera_covered`` /
-``camera_blackout`` events — so chaos harnesses can log them, merge them
-with shard/sink faults, and audit that they actually engaged.
+``camera_blackout`` events — so a chaos drive can merge them with
+shard/sink faults and audit that they actually engaged.
 """
 
 from __future__ import annotations

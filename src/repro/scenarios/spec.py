@@ -438,3 +438,24 @@ class ScenarioSpec:
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json() + "\n")
+
+
+def resolve_fleet(scenario: ScenarioSpec | None = None,
+                  script: DriveScript | None = None, *, drivers: int,
+                  duration: float, grid_period: float = 0.25,
+                  seed: int = 0) -> ScenarioSpec:
+    """The spec a fleet drive runs: ``scenario`` when given (it is then
+    authoritative for the fleet shape), else ``script`` or the paper
+    sweep at the given shape.  Building the spec validates the shape, so
+    a bad one raises :class:`ConfigurationError` before the caller sets
+    anything up."""
+    if scenario is not None:
+        if script is not None:
+            raise ConfigurationError(
+                "pass either scenario or script, not both")
+        return scenario
+    shape = dict(drivers=drivers, duration=duration,
+                 grid_period=grid_period, seed=seed)
+    if script is not None:
+        return ScenarioSpec.from_script(script, **shape)
+    return ScenarioSpec.paper_sweep(**shape)

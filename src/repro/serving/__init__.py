@@ -13,7 +13,7 @@ heartbeat watchdogs, exponential-backoff restarts and checkpoint-based
 session migration; a durable verdict journal (append-only, CRC-framed,
 fsync-batched) plus a store-and-forward sink guarantee every admitted
 (driver, window) is delivered exactly once or journaled as deferred; and
-a serving chaos harness proves all of it under scripted shard kills,
+a serving chaos drive proves all of it under scripted shard kills,
 executor hangs, sink blackholes and full disks.
 """
 
@@ -29,7 +29,6 @@ from repro.serving.admission import (
     AdmissionStats,
 )
 from repro.serving.chaos import (
-    ServingChaosHarness,
     ServingChaosReport,
     run_serving_chaos,
     standard_serving_schedule,
@@ -42,9 +41,11 @@ from repro.serving.checkpoint import (
 )
 from repro.serving.journal import (
     JournalReplay,
+    LedgerAudit,
     StoreAndForwardSink,
     VerdictJournal,
     VerdictRecord,
+    audit_ledger,
     replay_journal,
 )
 from repro.serving.registry import ModelRecord, ServingModelRegistry
@@ -52,7 +53,6 @@ from repro.serving.replay import (
     DriverTrace,
     ReplayReport,
     replay_concurrent_drives,
-    synthesize_trace,
 )
 from repro.serving.scheduler import (
     MODALITY_BOTH,
@@ -90,12 +90,11 @@ __all__ = [
     "AdmissionController", "AdmissionDecision", "AdmissionStats",
     "InferenceServer", "ServerStats", "ServingVerdict",
     "ReplayReport", "DriverTrace", "replay_concurrent_drives",
-    "synthesize_trace",
     "VerdictJournal", "VerdictRecord", "JournalReplay", "replay_journal",
-    "StoreAndForwardSink",
+    "StoreAndForwardSink", "LedgerAudit", "audit_ledger",
     "SessionCheckpoint", "CheckpointStore", "save_checkpoint",
     "load_checkpoint",
     "ShardSupervisor", "ShardHandle", "HashRing", "MigrationEvent",
-    "ServingChaosHarness", "ServingChaosReport", "run_serving_chaos",
+    "ServingChaosReport", "run_serving_chaos",
     "standard_serving_schedule",
 ]

@@ -1,10 +1,12 @@
 """Serving-tier chaos: scripted shard/sink/disk faults with a loss audit.
 
-The streaming chaos harness (:mod:`repro.streaming.faults`) proves the
+The streaming chaos drive (:mod:`repro.streaming.faults`) proves the
 collection stack degrades instead of dying; this module proves the same
-for the *serving* stack.  It drives a :class:`~.supervisor.ShardSupervisor`
-through a scripted :class:`~repro.streaming.faults.FaultSchedule` carrying
-the serving fault kinds:
+for the *serving* stack.  The one
+:class:`~repro.streaming.faults.ChaosHarness` drives a
+:class:`~.supervisor.ShardSupervisor` through a scripted
+:class:`~repro.streaming.faults.FaultSchedule` with a lever per serving
+fault kind and target:
 
 * ``shard_kill`` — the target shard crashes (calls refuse, heartbeats
   stop); the watchdog must notice, migrate its sessions and restart it;
@@ -22,8 +24,10 @@ fleet under such a schedule and audits the one invariant everything else
 serves: **every admitted (driver, window) id is accounted for** — it
 reaches the downstream sink exactly once as a verdict, or it is
 journaled as deferred.  Zero silent loss, no duplicates, no torn journal
-frames, bounded recovery time.  Violations are collected (not raised) so
-the CLI can print the audit and exit non-zero.
+frames (the ledger audit shared with the edge drive,
+:func:`~repro.serving.journal.audit_ledger`), bounded recovery time.
+Violations are collected (not raised) so the CLI can print the audit and
+exit non-zero.
 """
 
 from __future__ import annotations
@@ -35,62 +39,45 @@ import numpy as np
 from repro.core.darnet import DriveScript
 from repro.exceptions import ConfigurationError
 from repro.scenarios.compiler import compile_scenario
-from repro.scenarios.faults import scenario_fault_events
-from repro.scenarios.spec import ScenarioSpec
-from repro.serving.supervisor import SHARD_UP, ShardSupervisor
-from repro.streaming.faults import FaultEvent, FaultSchedule
+from repro.scenarios.faults import scenario_fault_schedule
+from repro.scenarios.spec import ScenarioSpec, resolve_fleet
+from repro.serving.journal import audit_ledger
+from repro.serving.supervisor import SHARD_UP, ShardHandle, ShardSupervisor
+from repro.streaming.faults import (
+    ChaosHarness,
+    FaultEvent,
+    FaultSchedule,
+    Lever,
+    switch,
+)
 
 
-class ServingChaosHarness:
-    """Reconciles a supervised shard fleet with a fault schedule.
+def _shard_levers(handle: ShardHandle) -> list[Lever]:
+    """A kill trigger and a hang switch, both held to a shard that is up
+    and not crashed: a shard restarted inside a live kill event is killed
+    again (the crash loop the restart backoff exists for), and a hung
+    shard the watchdog declares dead switches its hang off once."""
+    def up() -> bool:
+        return handle.state == SHARD_UP and not handle.crashed
 
-    ``shard_kill`` is edge-triggered — a shard that restarts while the
-    event is still live is killed again, which is exactly the crash-loop
-    the restart backoff exists for.  ``executor_hang``,
-    ``sink_blackhole`` and ``journal_disk_full`` are level-triggered:
-    asserted while the event is active, cleared when it ends.
-    """
+    def kill(event: FaultEvent) -> None:
+        handle.crashed = True
 
-    def __init__(self, schedule: FaultSchedule,
-                 supervisor: ShardSupervisor) -> None:
-        self.schedule = schedule
-        self.supervisor = supervisor
-        self.log: list[tuple[float, str, str, str]] = []
-        self.kills = 0
-        self.hangs = 0
+    return [Lever("shard_kill", handle.name, kill, ready=up),
+            switch("executor_hang", handle.name,
+                   lambda on: setattr(handle, "hung", on), ready=up)]
 
-    def apply(self, now: float) -> None:
-        """Reconcile fleet state with the schedule at virtual ``now``."""
-        for name in self.supervisor.shard_names:
-            handle = self.supervisor.shard(name)
-            kill = self.schedule.active_for("shard_kill", name, now)
-            if kill is not None and handle.state == SHARD_UP \
-                    and not handle.crashed:
-                handle.crashed = True
-                self.kills += 1
-                self.log.append((now, "shard_kill", name, "on"))
-            hang = self.schedule.active_for("executor_hang", name, now)
-            should_hang = hang is not None and handle.state == SHARD_UP \
-                and not handle.crashed
-            if should_hang and not handle.hung:
-                self.hangs += 1
-                self.log.append((now, "executor_hang", name, "on"))
-            elif handle.hung and not should_hang:
-                self.log.append((now, "executor_hang", name, "off"))
-            if handle.state == SHARD_UP:
-                handle.hung = should_hang
-        sink = self.supervisor.sink
-        blackhole = self.schedule.active_for("sink_blackhole", "*", now)
-        if (blackhole is not None) != sink.blackholed:
-            sink.blackholed = blackhole is not None
-            self.log.append((now, "sink_blackhole", "*",
-                             "on" if sink.blackholed else "off"))
-        journal = self.supervisor.journal
-        disk_full = self.schedule.active_for("journal_disk_full", "*", now)
-        if (disk_full is not None) != journal.disk_full:
-            journal.simulate_disk_full(disk_full is not None)
-            self.log.append((now, "journal_disk_full", "*",
-                             "on" if journal.disk_full else "off"))
+
+def _levers(supervisor: ShardSupervisor) -> list[Lever]:
+    """Every shard's levers, then the fleet-wide (``"*"``) sink blackhole
+    and journal disk-full switches."""
+    sink = supervisor.sink
+    return [*(lever for name in supervisor.shard_names
+              for lever in _shard_levers(supervisor.shard(name))),
+            switch("sink_blackhole", "*",
+                   lambda on: setattr(sink, "blackholed", on)),
+            switch("journal_disk_full", "*",
+                   supervisor.journal.simulate_disk_full)]
 
 
 def standard_serving_schedule(duration: float = 20.0) -> FaultSchedule:
@@ -226,20 +213,14 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
             withhold frame ingestion (IMU-only degradation under the
             zero-loss audit) and the audit demands they engage.
     """
-    if scenario is not None:
-        if script is not None:
-            raise ConfigurationError(
-                "pass either scenario or script, not both")
-        drivers = scenario.drivers
-        duration = scenario.duration
-        grid_period = scenario.grid_period
-        seed = scenario.seed
+    scenario = resolve_fleet(scenario, script, drivers=drivers,
+                             duration=duration, grid_period=grid_period,
+                             seed=seed)
     if shards < 2:
         raise ConfigurationError(
             "serving chaos needs >= 2 shards (somewhere to migrate to)")
-    if drivers < 1 or duration <= 0 or grid_period <= 0:
-        raise ConfigurationError(
-            "need drivers >= 1, duration > 0, grid_period > 0")
+    drivers, duration = scenario.drivers, scenario.duration
+    grid_period, seed = scenario.grid_period, scenario.seed
     if schedule is None:
         schedule = standard_serving_schedule(duration)
     silent_after = 4.0 * grid_period
@@ -247,14 +228,6 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
     backoff_cap = 16.0 * grid_period
     if recovery_bound is None:
         recovery_bound = silent_after + backoff_cap + grid_period
-    if scenario is None:
-        scenario = (ScenarioSpec.from_script(
-                        script, drivers=drivers, duration=duration,
-                        grid_period=grid_period, seed=seed)
-                    if script is not None
-                    else ScenarioSpec.paper_sweep(
-                        drivers=drivers, duration=duration,
-                        grid_period=grid_period, seed=seed))
     compiled = compile_scenario(scenario)
     instants = compiled.instants
     traces = compiled.traces()
@@ -270,10 +243,9 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
         heartbeat_interval=grid_period)
     session_ids = [supervisor.open_session(trace.driver_id, now=0.0)
                    for trace in traces]
-    scenario_events = scenario_fault_events(scenario, session_ids)
-    if scenario_events:
-        schedule = FaultSchedule([*schedule.events, *scenario_events])
-    harness = ServingChaosHarness(schedule, supervisor)
+    schedule = scenario_fault_schedule(scenario, session_ids,
+                                       extra=schedule.events)
+    harness = ChaosHarness(schedule, _levers(supervisor))
     covered_frames = 0
     for trace in traces:
         covered = np.zeros(len(instants), dtype=bool)
@@ -310,55 +282,30 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
             now += grid_period
         supervisor.drain(now)
 
-        requested_ids = set(requested)
         delivered_ids = set(supervisor.delivered_ids)
         deferred_ids = set(supervisor.deferred_ids)
-        lost = requested_ids - delivered_ids - deferred_ids
-        replay = supervisor.journal.replay()
-        journal_ids = replay.ids
-        unjournaled = (delivered_ids | deferred_ids) - journal_ids
-        downstream = supervisor.sink.delivered
-        downstream_dupes = len(downstream) - len(
-            {record.record_id for record in downstream})
+        supervisor.journal.sync()
+        audit = audit_ledger(requested, delivered_ids | deferred_ids,
+                             supervisor.sink, supervisor.journal.path)
         stats = supervisor.stats
+        kinds = {event.kind for event in schedule.events}
 
-        violations: list[str] = []
-        if lost:
-            violations.append(
-                f"{len(lost)} admitted windows neither delivered nor "
-                f"deferred (e.g. {sorted(lost)[:3]})")
+        violations = [*audit.violations, *harness.unengaged()]
         if delivered_ids & deferred_ids:
             both = delivered_ids & deferred_ids
             violations.append(
                 f"{len(both)} windows both delivered and deferred")
-        if unjournaled:
-            violations.append(
-                f"{len(unjournaled)} resolved windows missing from the "
-                "journal replay")
-        if replay.torn:
-            violations.append(
-                f"{replay.torn} torn journal frames after a clean close")
-        if downstream_dupes:
-            violations.append(
-                f"{downstream_dupes} duplicate downstream deliveries")
         if supervisor.journal.overflow_depth:
             violations.append(
                 f"{supervisor.journal.overflow_depth} journal records "
                 "still stuck in the memory overflow")
-        has_kill = any(e.kind == "shard_kill" for e in schedule.events)
-        if has_kill and harness.kills == 0:
-            violations.append(
-                "schedule contains shard_kill events but no shard was "
-                "killed (chaos did not engage)")
-        if has_kill and stats["restarts"] == 0:
+        if harness.count("shard_kill") and stats["restarts"] == 0:
             violations.append("a shard died but was never restarted")
-        if any(e.kind == "camera_blackout" for e in schedule.events) \
-                and masked_frames == 0:
+        if "camera_blackout" in kinds and masked_frames == 0:
             violations.append(
                 "schedule contains camera_blackout events but no frame "
                 "was withheld (scenario fault did not engage)")
-        if any(e.kind == "camera_covered" for e in schedule.events) \
-                and covered_frames == 0:
+        if "camera_covered" in kinds and covered_frames == 0:
             violations.append(
                 "schedule contains camera_covered events but no occluded "
                 "frame was served (scenario fault did not engage)")
@@ -375,26 +322,26 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
         return ServingChaosReport(
             shards=shards, drivers=drivers, duration=float(duration),
             seed=seed,
-            requested=len(requested_ids),
+            requested=len(set(requested)),
             delivered=len(delivered_ids),
             deferred=len(deferred_ids),
-            lost=len(lost),
-            downstream_delivered=len(downstream),
-            downstream_duplicates=downstream_dupes,
-            shard_kills=harness.kills,
-            shard_hangs=harness.hangs,
+            lost=len(audit.lost),
+            downstream_delivered=len(supervisor.sink.delivered),
+            downstream_duplicates=audit.duplicates,
+            shard_kills=harness.count("shard_kill"),
+            shard_hangs=harness.count("executor_hang"),
             shard_deaths=stats["deaths"],
             restarts=stats["restarts"],
             migrations=stats["migrations"],
             retries=stats["retries"],
             recovery_times=list(supervisor.recovery_times),
             recovery_bound=float(recovery_bound),
-            journal_records=len(replay.records),
-            journal_duplicates=replay.duplicates,
-            journal_torn=replay.torn,
-            journal_bytes=replay.bytes_read,
+            journal_records=len(audit.journal.records),
+            journal_duplicates=audit.journal.duplicates,
+            journal_torn=audit.torn,
+            journal_bytes=audit.journal.bytes_read,
             journal_overflowed=supervisor.journal.overflowed,
-            unjournaled=len(unjournaled),
+            unjournaled=len(audit.unjournaled),
             violations=violations,
             harness_log=list(harness.log),
             metrics=supervisor.metrics_snapshot(),

@@ -23,7 +23,8 @@ frame and the batched fsync are the log's.  The journal adds its policy:
 are journaled first, then forwarded to the downstream sink; when the
 sink is unreachable they accumulate as journal-backed pending work and
 drain in order on reconnect, deduplicated so a reconnect never
-double-alerts.
+double-alerts.  :func:`audit_ledger` is the zero-loss check the serving
+and edge chaos drives both run over a sink and its journal.
 """
 
 from __future__ import annotations
@@ -86,6 +87,46 @@ def replay_journal(path: str) -> JournalReplay:
     in ``torn``, never surfaced as data."""
     return wal.scan(path, JournalReplay(),
                     {MAGIC: VerdictRecord.from_payload})
+
+
+@dataclass
+class LedgerAudit:
+    """What :func:`audit_ledger` found, each finding with its violation."""
+
+    lost: set
+    duplicates: int
+    unjournaled: set
+    torn: int
+    journal: JournalReplay
+    violations: list[str]
+
+
+def audit_ledger(expected, resolved, sink: StoreAndForwardSink,
+                 journal_path: str) -> LedgerAudit:
+    """The zero-loss audit of one journal-backed delivery ledger.
+
+    Every ``expected`` (driver, window) id must be ``resolved`` —
+    delivered, or journaled as deferred where the tier defers; ``sink``
+    must have delivered each record id at most once; every resolved id
+    must replay from the journal at ``journal_path``, which the caller
+    has synced or closed; and that replay must end on no torn frame.
+    """
+    resolved = set(resolved)
+    lost = set(expected) - resolved
+    delivered = sink.delivered
+    duplicates = len(delivered) - len({r.record_id for r in delivered})
+    journal = replay_journal(journal_path)
+    unjournaled = resolved - journal.ids
+    violations = [message for count, message in (
+        (len(lost), f"{len(lost)} ids neither delivered nor deferred "
+                    f"(e.g. {sorted(lost)[:3]})"),
+        (duplicates, f"{duplicates} duplicate downstream deliveries"),
+        (len(unjournaled), f"{len(unjournaled)} resolved ids missing from "
+                           "the journal replay"),
+        (journal.torn, f"{journal.torn} torn journal frames after a clean "
+                       "close")) if count]
+    return LedgerAudit(lost, duplicates, unjournaled, journal.torn, journal,
+                       violations)
 
 
 class VerdictJournal:

@@ -22,17 +22,12 @@ import numpy as np
 from repro.core.darnet import DriveScript
 from repro.exceptions import ConfigurationError
 from repro.nn.compile.backends import DEFAULT_BACKEND, using_backend
-from repro.scenarios.compiler import (
-    DriverTrace,
-    compile_scenario,
-    synthesize_trace,
-)
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.compiler import DriverTrace, compile_scenario
+from repro.scenarios.spec import ScenarioSpec, resolve_fleet
 from repro.serving.registry import as_registry
 from repro.serving.server import InferenceServer, ServingVerdict
 
-__all__ = ["DriverTrace", "ReplayReport", "replay_concurrent_drives",
-           "synthesize_trace"]
+__all__ = ["DriverTrace", "ReplayReport", "replay_concurrent_drives"]
 
 
 @dataclass
@@ -147,19 +142,9 @@ def replay_concurrent_drives(model, *, drivers: int = 8,
         observability: stage histograms and request tracing; disable for
             the overhead benchmark's baseline measurement.
     """
-    if scenario is not None and script is not None:
-        raise ConfigurationError(
-            "pass either scenario or script, not both")
-    if scenario is None:
-        if drivers < 1 or duration <= 0:
-            raise ConfigurationError("need drivers >= 1 and duration > 0")
-        scenario = (ScenarioSpec.from_script(
-                        script, drivers=drivers, duration=duration,
-                        grid_period=grid_period, seed=seed)
-                    if script is not None
-                    else ScenarioSpec.paper_sweep(
-                        drivers=drivers, duration=duration,
-                        grid_period=grid_period, seed=seed))
+    scenario = resolve_fleet(scenario, script, drivers=drivers,
+                             duration=duration, grid_period=grid_period,
+                             seed=seed)
     # The spec is the single source of truth for the fleet shape.
     drivers = scenario.drivers
     duration = scenario.duration

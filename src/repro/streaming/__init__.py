@@ -90,9 +90,12 @@ from repro.streaming.faults import (
     FaultEvent,
     FaultSchedule,
     FaultableSensor,
+    Lever,
     WindowHealth,
+    channel_blackhole,
     run_chaos_drive,
     standard_chaos_schedule,
+    switch,
 )
 
 __all__ = [
@@ -118,6 +121,6 @@ __all__ = [
     "PlacementCircuitBreaker", "BreakerState", "PrivacyEscalator",
     "PRIVACY_LADDER",
     "FaultEvent", "FaultSchedule", "FaultableSensor", "ChaosHarness",
-    "ChaosDriveReport", "WindowHealth", "run_chaos_drive",
+    "Lever", "channel_blackhole", "switch", "ChaosDriveReport", "WindowHealth", "run_chaos_drive",
     "standard_chaos_schedule", "FAULT_KINDS",
 ]

@@ -1,19 +1,23 @@
 """Deterministic chaos harness: scripted fault schedules over virtual time.
 
 Fault tolerance that is only exercised by accident is not exercised at
-all.  This module drives the whole supervision stack — reliable
-transport, health registry, placement circuit breaker, adaptive privacy
-escalation — under a *scripted* :class:`FaultSchedule` evaluated against
-the simulation's virtual clock, so every chaos run is reproducible from
-a seed.  :func:`run_chaos_drive` packages the canonical scenario (total
+all.  This module holds the one :class:`ChaosHarness` every chaos drive
+uses: a *scripted* :class:`FaultSchedule`, evaluated against the
+simulation's virtual clock, moves a set of :class:`Lever`\\ s — what one
+fault kind does to one target — so every chaos run is reproducible from
+a seed.  :func:`run_chaos_drive` drives the streaming supervision stack
+(reliable transport, health registry, placement circuit breaker,
+adaptive privacy escalation) through the canonical scenario (total
 blackout + dashcam death + stuck sensor in one drive) behind a single
-call used by the integration tests and the ``repro chaos`` CLI command.
+call used by the integration tests and the ``repro chaos`` CLI command;
+the serving and edge drives build their own levers on the same harness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -34,13 +38,12 @@ from repro.streaming.sensors import (
 from repro.streaming.transport import Channel
 
 #: Fault kinds a schedule may contain.  The first five target the
-#: streaming stack (:class:`ChaosHarness`); the serving kinds target the
-#: shard fleet and are interpreted by
-#: :class:`repro.serving.chaos.ServingChaosHarness`; the edge kinds
-#: target the device runtime and are interpreted by
-#: :class:`repro.edge.chaos.EdgeChaosHarness` — ``uplink_blackhole``
+#: streaming stack (:func:`run_chaos_drive`); the serving kinds target
+#: the shard fleet (:func:`repro.serving.chaos.run_serving_chaos`); the
+#: edge kinds target the device runtime
+#: (:func:`repro.edge.chaos.run_edge_chaos`) — ``uplink_blackhole``
 #: severs an agent's uplink both ways, ``ota_corrupt_artifact`` flips
-#: bytes in every artifact the OTA server serves, and
+#: bytes in every artifact served for the targeted release version, and
 #: ``ota_download_kill`` kills the updater process mid-download (the
 #: resumed download must continue from its persisted partial files).
 #: The camera kinds are scenario-native: scheduled by the scenario DSL's
@@ -48,6 +51,7 @@ from repro.streaming.transport import Channel
 #: replaces frames with occluded-lens renders (the server keeps getting
 #: frames and should *classify* the condition), ``camera_blackout``
 #: suppresses frame ingestion (the server must degrade to IMU-only).
+#: No lever moves them; the serving drive counts them at ingestion.
 FAULT_KINDS = ("blackout", "agent_silence", "sensor_stuck",
                "sensor_dropout", "sensor_spike",
                "shard_kill", "executor_hang", "sink_blackhole",
@@ -99,10 +103,6 @@ class FaultSchedule:
         self.events: tuple[FaultEvent, ...] = tuple(
             sorted(events, key=lambda e: (e.start, e.end, e.kind, e.target)))
 
-    def active(self, now: float) -> list[FaultEvent]:
-        """Every event live at ``now``."""
-        return [event for event in self.events if event.active(now)]
-
     def active_for(self, kind: str, target: str,
                    now: float) -> FaultEvent | None:
         """The live event of ``kind`` hitting ``target``, if any."""
@@ -111,12 +111,6 @@ class FaultSchedule:
                     and event.active(now):
                 return event
         return None
-
-    @property
-    def horizon(self) -> float:
-        """Latest finite event end (0.0 for an empty schedule)."""
-        ends = [e.end for e in self.events if math.isfinite(e.end)]
-        return max(ends, default=0.0)
 
 
 class FaultableSensor:
@@ -158,61 +152,135 @@ class FaultableSensor:
         return value
 
 
-class ChaosHarness:
-    """Applies a :class:`FaultSchedule` to live components every step.
+@dataclass(frozen=True)
+class Lever:
+    """What one fault kind does to one target.
 
-    Args:
-        schedule: the fault script.
-        channels: channel name -> :class:`Channel` (blackout targets).
-        agents: agent id -> :class:`CollectionAgent` (silence targets).
-        sensors: ``agent/sensor`` stream -> :class:`FaultableSensor`.
+    A *level* lever has an ``off`` action: it is switched on while an
+    event of ``kind`` hitting ``target`` is live and ``ready()`` holds,
+    and off once either stops.  A *trigger* lever has none: ``on`` fires
+    at every apply that finds such an event live and the target ready —
+    with ``once``, only at the first such apply of each event.  ``on``
+    receives the live event, ``off`` the virtual time.
     """
 
-    def __init__(self, schedule: FaultSchedule, *,
-                 channels: dict[str, Channel] | None = None,
-                 agents: dict[str, CollectionAgent] | None = None,
-                 sensors: dict[str, FaultableSensor] | None = None) -> None:
+    kind: str
+    target: str
+    on: Callable[[FaultEvent], None]
+    off: Callable[[float], None] | None = None
+    ready: Callable[[], bool] = lambda: True
+    once: bool = False
+
+
+def switch(kind: str, target: str, turn: Callable[[bool], None], *,
+           ready: Callable[[], bool] = lambda: True) -> Lever:
+    """A level lever calling ``turn(True)`` on and ``turn(False)`` off."""
+    return Lever(kind, target, lambda event: turn(True),
+                 lambda now: turn(False), ready)
+
+
+def channel_blackhole(kind: str, target: str, *channels: Channel) -> Lever:
+    """A level lever that drops every packet on ``channels`` while on.
+
+    Switching on saves each channel's ``drop_probability`` and sets it to
+    1.0 (so the channel still draws its loss RNG per packet); switching
+    off restores the saved values.
+    """
+    saved: list[float] = []
+
+    def on(event: FaultEvent) -> None:
+        saved[:] = [channel.drop_probability for channel in channels]
+        for channel in channels:
+            channel.drop_probability = 1.0
+
+    def off(now: float) -> None:
+        for channel, drop in zip(channels, saved):
+            channel.drop_probability = drop
+
+    return Lever(kind, target, on, off)
+
+
+def _silence_lever(agent: CollectionAgent) -> Lever:
+    """Suspends an agent (process death); on revival it skips the
+    samples it missed instead of replaying them."""
+    def on(event: FaultEvent) -> None:
+        agent.suspended = True
+
+    def off(now: float) -> None:
+        agent.suspended = False
+        agent.fast_forward(now)
+
+    return Lever("agent_silence", agent.agent_id, on, off)
+
+
+def _sensor_levers(stream: str, sensor: FaultableSensor) -> list[Lever]:
+    """One level lever per sensor fault kind on an ``agent/sensor``
+    stream; clearing one leaves a mode another lever set in place."""
+    def lever(kind: str, mode: str) -> Lever:
+        def on(event: FaultEvent) -> None:
+            sensor.set_mode(mode, event.magnitude)
+
+        def off(now: float) -> None:
+            if sensor.mode == mode:
+                sensor.set_mode(None)
+
+        return Lever(kind, stream, on, off)
+
+    return [lever(kind, mode) for kind, mode in _SENSOR_MODES.items()]
+
+
+class ChaosHarness:
+    """Moves a set of :class:`Lever`\\ s to match a :class:`FaultSchedule`.
+
+    Every lever it moves appends ``(now, kind, target, "on" | "off")`` to
+    :attr:`log`, the one record chaos reports read their fault counts
+    (:meth:`count`) and engagement (:meth:`unengaged`) from.
+    """
+
+    def __init__(self, schedule: FaultSchedule, levers) -> None:
         self.schedule = schedule
-        self.channels = dict(channels or {})
-        self.agents = dict(agents or {})
-        self.sensors = dict(sensors or {})
-        self._saved_drop: dict[str, float] = {}
-        self._suspended: set[str] = set()
+        self.levers: tuple[Lever, ...] = tuple(levers)
         self.log: list[tuple[float, str, str, str]] = []
+        self._on: set[int] = set()
+        self._fired: set[tuple[int, FaultEvent]] = set()
 
     def apply(self, now: float) -> None:
-        """Reconcile every component with the schedule at ``now``."""
-        for name, channel in self.channels.items():
-            active = self.schedule.active_for("blackout", name, now)
-            if active is not None and name not in self._saved_drop:
-                self._saved_drop[name] = channel.drop_probability
-                channel.drop_probability = 1.0
-                self.log.append((now, "blackout", name, "on"))
-            elif active is None and name in self._saved_drop:
-                channel.drop_probability = self._saved_drop.pop(name)
-                self.log.append((now, "blackout", name, "off"))
-        for agent_id, agent in self.agents.items():
-            active = self.schedule.active_for("agent_silence", agent_id, now)
-            if active is not None and agent_id not in self._suspended:
-                agent.suspended = True
-                self._suspended.add(agent_id)
-                self.log.append((now, "agent_silence", agent_id, "on"))
-            elif active is None and agent_id in self._suspended:
-                agent.suspended = False
-                agent.fast_forward(now)
-                self._suspended.remove(agent_id)
-                self.log.append((now, "agent_silence", agent_id, "off"))
-        for stream, sensor in self.sensors.items():
-            mode, magnitude = None, 0.0
-            for kind, sensor_mode in _SENSOR_MODES.items():
-                event = self.schedule.active_for(kind, stream, now)
-                if event is not None:
-                    mode, magnitude = sensor_mode, event.magnitude
-                    break
-            if sensor.mode != mode:
-                self.log.append((now, f"sensor_{mode or 'clear'}",
-                                 stream, "on" if mode else "off"))
-            sensor.set_mode(mode, magnitude)
+        """Move every lever to match the schedule at virtual ``now``."""
+        for index, lever in enumerate(self.levers):
+            event = self.schedule.active_for(lever.kind, lever.target, now)
+            if lever.off is None:
+                if event is None or (index, event) in self._fired \
+                        or not lever.ready():
+                    continue
+                if lever.once:
+                    self._fired.add((index, event))
+                lever.on(event)
+                self.log.append((now, lever.kind, lever.target, "on"))
+            elif event is not None and lever.ready():
+                if index not in self._on:
+                    self._on.add(index)
+                    lever.on(event)
+                    self.log.append((now, lever.kind, lever.target, "on"))
+            elif index in self._on:
+                self._on.remove(index)
+                lever.off(now)
+                self.log.append((now, lever.kind, lever.target, "off"))
+
+    def count(self, kind: str) -> int:
+        """How many times a lever of ``kind`` switched on or fired."""
+        return sum(1 for _, logged, _, state in self.log
+                   if logged == kind and state == "on")
+
+    def unengaged(self) -> list[str]:
+        """A violation per scheduled kind that aims at one of the levers
+        but never switched one on: the chaos did not engage."""
+        aimed = {event.kind for event in self.schedule.events
+                 for lever in self.levers
+                 if lever.kind == event.kind and event.matches(lever.target)}
+        engaged = {kind for _, kind, _, state in self.log if state == "on"}
+        return [f"schedule has {kind} events but no {kind} lever ever "
+                "switched on (chaos did not engage)"
+                for kind in sorted(aimed - engaged)]
 
 
 def standard_chaos_schedule(duration: float = 30.0) -> FaultSchedule:
@@ -283,6 +351,9 @@ class ChaosDriveReport:
     first_escalation_at: float | None = None
     first_shed_at: float | None = None
     harness_log: list = field(default_factory=list)
+    #: Scheduled fault kinds that never engaged, as violations (see
+    #: :meth:`ChaosHarness.unengaged`).
+    unengaged: list[str] = field(default_factory=list)
 
     @property
     def imu_delivery_ratio(self) -> float:
@@ -303,6 +374,8 @@ class ChaosDriveReport:
         darkness*: any single fault may cost a modality, but no analysis
         window may end up with neither IMU nor frames — that would mean
         the retransmission/recovery machinery lost a window entirely.
+        A scheduled fault that never engaged proved nothing, so it is a
+        violation too.
         """
         out = []
         for window in self.windows:
@@ -310,7 +383,53 @@ class ChaosDriveReport:
                 out.append(
                     f"window [{window.start:.1f}, {window.end:.1f}) fully "
                     "dark: no modality was delivered")
-        return out
+        return out + self.unengaged
+
+    def format_report(self) -> str:
+        """Human-readable transport/health/placement/privacy/window
+        summary for the CLI."""
+        phone, dashcam = self.phone_sender_stats, self.dashcam_sender_stats
+        lines = [
+            "== Transport ==",
+            f"IMU tuples: {self.imu_arrived}/{self.imu_taken} delivered "
+            f"({self.imu_delivery_ratio * 100:.2f}%)",
+            f"phone sender: {phone.sent} sent, {phone.retransmissions} "
+            f"retransmitted, {phone.shed_data} shed, {phone.abandoned} "
+            "abandoned",
+            f"dashcam sender: {dashcam.sent} sent, "
+            f"{dashcam.retransmissions} retransmitted, "
+            f"{dashcam.shed_frames} frames shed",
+            "\n== Health ==",
+            *(f"{agent_id}: {state.value} at end of drive"
+              for agent_id, state in self.agent_states.items()),
+            "quarantined at some point: "
+            f"{self.health['ever_quarantined'] or 'none'}",
+            f"fault counts: {self.health['fault_counts']}",
+            f"readings quarantined: {self.readings_quarantined}",
+            "\n== Placement ==",
+            *(f"t={when:6.2f}s  -> {location.value}"
+              for when, location in self.breaker_transitions),
+            f"final placement: {self.breaker_location}",
+            "\n== Privacy ==",
+            f"escalations: {self.privacy_escalations}, "
+            f"relaxations: {self.privacy_relaxations}, "
+            f"final level: {self.final_privacy_level or 'undistorted'}",
+        ]
+        if self.first_escalation_at is not None:
+            lines.append(
+                f"first escalation at t={self.first_escalation_at:.2f}s")
+        lines.append("\n== Verdict windows ==")
+        for window in self.windows:
+            flag = (f"DEGRADED (missing {', '.join(window.missing)})"
+                    if window.degraded else "full fidelity")
+            lines.append(
+                f"[{window.start:5.1f}, {window.end:5.1f})  "
+                f"imu={window.imu_readings:4d}  frames={window.frames:2d}  "
+                f"{flag}")
+        lines.append(f"\n{self.degraded_windows}/{len(self.windows)} "
+                     "windows degraded; every window still receives a "
+                     "verdict.")
+        return "\n".join(lines)
 
 
 def run_chaos_drive(schedule: FaultSchedule | None = None, *,
@@ -393,15 +512,18 @@ def run_chaos_drive(schedule: FaultSchedule | None = None, *,
                                       recovery_timeout=2.0,
                                       success_threshold=2)
 
-    harness = ChaosHarness(
-        schedule,
-        channels={"phone-data": phone_sender.data,
-                  "phone-ack": phone_sender.ack,
-                  "dashcam-data": dashcam_sender.data,
-                  "dashcam-ack": dashcam_sender.ack,
-                  "probe": probe_channel},
-        agents={"phone": phone, "dashcam": dashcam},
-        sensors={**sensors, **sensors_cam})
+    channels = {"phone-data": phone_sender.data,
+                "phone-ack": phone_sender.ack,
+                "dashcam-data": dashcam_sender.data,
+                "dashcam-ack": dashcam_sender.ack,
+                "probe": probe_channel}
+    harness = ChaosHarness(schedule, [
+        *(channel_blackhole("blackout", name, channel)
+          for name, channel in channels.items()),
+        _silence_lever(phone), _silence_lever(dashcam),
+        *(lever for stream, sensor in {**sensors, **sensors_cam}.items()
+          for lever in _sensor_levers(stream, sensor)),
+    ])
 
     first_escalation_at: float | None = None
     first_shed_at: float | None = None
@@ -485,4 +607,5 @@ def run_chaos_drive(schedule: FaultSchedule | None = None, *,
         first_escalation_at=first_escalation_at,
         first_shed_at=first_shed_at,
         harness_log=list(harness.log),
+        unengaged=harness.unengaged(),
     )

@@ -10,7 +10,7 @@ from repro.serving import (
     StoreAndForwardSink,
     VerdictJournal,
 )
-from repro.serving.replay import synthesize_trace
+from repro.scenarios import synthesize_trace
 from repro.streaming.reliability import reliable_link
 
 

@@ -9,7 +9,7 @@ import pytest
 from repro.edge import run_edge_chaos, standard_edge_schedule
 from repro.edge.chaos import minimal_canary_percent
 from repro.exceptions import ConfigurationError
-from repro.streaming.faults import FaultSchedule
+from repro.streaming.faults import FaultEvent, FaultSchedule
 
 
 def test_invalid_drive_shape_raises(edge_ensemble):
@@ -17,6 +17,14 @@ def test_invalid_drive_shape_raises(edge_ensemble):
         run_edge_chaos(edge_ensemble, agents=0)
     with pytest.raises(ConfigurationError):
         run_edge_chaos(edge_ensemble, duration=0.0)
+
+
+def test_bad_drive_shape_raises_before_any_workspace(
+        edge_ensemble, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(ConfigurationError):
+        run_edge_chaos(edge_ensemble, agents=1, grid_period=0.0)
+    assert os.listdir(tmp_path) == []
 
 
 def test_minimal_canary_percent_is_smallest_nonempty_step():
@@ -71,6 +79,16 @@ def test_chaos_without_faults_is_a_clean_drive(edge_ensemble, tmp_path):
     assert report.lost == 0 and report.spool_residue == 0
     assert report.ota_installs >= 1
     assert os.listdir(tmp_path)  # the caller's workdir is left alone
+
+
+def test_fault_that_never_fires_did_not_engage(edge_ensemble, tmp_path):
+    schedule = FaultSchedule([
+        FaultEvent(500.0, 501.0, "uplink_blackhole", "edge-0")])
+    report = run_edge_chaos(edge_ensemble, agents=1, duration=4.0, seed=3,
+                            workdir=str(tmp_path), schedule=schedule)
+    assert report.uplink_blackholes == 0
+    assert [v for v in report.violations if "did not engage" in v] \
+        == report.violations != []
 
 
 def test_chaos_drive_deletes_only_the_workspace_it_created(

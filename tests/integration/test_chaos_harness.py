@@ -19,7 +19,9 @@ from repro.streaming import (
     FaultSchedule,
     FaultableSensor,
     HealthState,
+    Lever,
     ProcessingLocation,
+    channel_blackhole,
     run_chaos_drive,
     standard_chaos_schedule,
 )
@@ -50,7 +52,6 @@ def test_schedule_queries():
     assert schedule.active_for("blackout", "any-channel", 12.0) is None
     assert schedule.active_for("agent_silence", "dashcam", 20.0) is not None
     assert schedule.active_for("agent_silence", "phone", 20.0) is None
-    assert schedule.horizon == 20.0  # the infinite silence is excluded
 
 
 def test_faultable_sensor_modes(rng):
@@ -82,7 +83,7 @@ def test_harness_blackout_restores_drop_probability(rng):
     channel = Channel("uplink", drop_probability=0.05, rng=rng)
     harness = ChaosHarness(
         FaultSchedule([FaultEvent(1.0, 2.0, "blackout", "uplink")]),
-        channels={"uplink": channel})
+        [channel_blackhole("blackout", "uplink", channel)])
     harness.apply(0.5)
     assert channel.drop_probability == pytest.approx(0.05)
     harness.apply(1.5)
@@ -91,6 +92,63 @@ def test_harness_blackout_restores_drop_probability(rng):
     assert channel.drop_probability == pytest.approx(0.05)
     kinds = [(kind, state) for _, kind, _, state in harness.log]
     assert kinds == [("blackout", "on"), ("blackout", "off")]
+
+
+def test_trigger_lever_fires_while_ready_or_once_per_event():
+    schedule = FaultSchedule([FaultEvent(1.0, 3.0, "shard_kill", "a"),
+                              FaultEvent(1.0, 3.0, "shard_kill", "b")])
+    ready = {"a": True, "b": True}
+    fired = []
+
+    def lever(target: str, once: bool) -> Lever:
+        return Lever("shard_kill", target, lambda event: fired.append(target),
+                     ready=lambda: ready[target], once=once)
+
+    harness = ChaosHarness(schedule, [lever("a", False), lever("b", True)])
+    for now in (0.5, 1.0, 1.5, 2.0):
+        harness.apply(now)
+    ready["a"] = False
+    harness.apply(2.5)
+    assert fired == ["a", "b", "a", "a"]
+    assert harness.count("shard_kill") == 4
+    assert harness.unengaged() == []
+
+
+def test_level_lever_logs_one_off_when_its_target_stops_being_ready():
+    schedule = FaultSchedule([FaultEvent(1.0, 3.0, "executor_hang", "s")])
+    state = {"up": True, "hung": False}
+    harness = ChaosHarness(schedule, [Lever(
+        "executor_hang", "s", lambda event: state.update(hung=True),
+        lambda now: state.update(hung=False), ready=lambda: state["up"])])
+    harness.apply(1.0)
+    assert state["hung"]
+    state["up"] = False  # the watchdog declared the hung target dead
+    for now in (1.5, 2.0, 3.0, 3.5):
+        harness.apply(now)
+    assert not state["hung"]
+    assert [(t, s) for t, _, _, s in harness.log] == [(1.0, "on"),
+                                                      (1.5, "off")]
+
+
+def test_unengaged_names_kinds_aimed_at_a_lever_that_never_switched_on(rng):
+    channel = Channel("uplink", rng=rng)
+    harness = ChaosHarness(FaultSchedule([
+        FaultEvent(5.0, 6.0, "blackout", "uplink"),   # after the run
+        FaultEvent(0.0, 1.0, "sink_blackhole", "*"),  # no such lever
+    ]), [channel_blackhole("blackout", "uplink", channel)])
+    harness.apply(0.5)
+    [violation] = harness.unengaged()
+    assert "blackout" in violation and "did not engage" in violation
+
+
+def test_unengaged_fault_is_a_streaming_drive_violation():
+    report = run_chaos_drive(seed=3, duration=4.0, settle=1.0,
+                             schedule=FaultSchedule([FaultEvent(
+                                 50.0, 51.0, "sensor_stuck",
+                                 "phone/gyroscope")]))
+    assert report.harness_log == []
+    assert any("did not engage" in violation
+               for violation in report.violations)
 
 
 # -- the acceptance criteria -------------------------------------------------

@@ -1,5 +1,8 @@
 """Serving-tier chaos: the zero-loss audit under scripted shard faults."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -77,6 +80,15 @@ def test_chaos_run_is_deterministic(chaos_report):
     assert again.harness_log == chaos_report.harness_log
 
 
+def test_each_hang_logs_one_on_and_one_off(chaos_report):
+    """A hung shard the watchdog declares dead stays down until its
+    restart; its hang switches off once, not at every step while down."""
+    hangs = [(when, state) for when, kind, _, state
+             in chaos_report.harness_log if kind == "executor_hang"]
+    assert [state for _, state in hangs] == ["on", "off"]
+    assert chaos_report.shard_hangs == 1
+
+
 def test_chaos_metrics_include_resilience_series(chaos_report):
     names = {entry["name"] for entry in chaos_report.metrics["metrics"]}
     assert {"serving_supervisor_restarts_total",
@@ -107,6 +119,14 @@ def test_invalid_configuration_raises():
         run_serving_chaos(StubModel(), shards=1)
     with pytest.raises(ConfigurationError):
         run_serving_chaos(StubModel(), drivers=0)
+
+
+def test_bad_drive_shape_raises_before_any_temp_journal(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with pytest.raises(ConfigurationError):
+        run_serving_chaos(StubModel(), drivers=2, duration=-1.0)
+    assert os.listdir(tmp_path) == []
 
 
 def test_standard_schedule_covers_all_serving_fault_kinds():

@@ -15,9 +15,10 @@ from repro.core.darnet import DriveScript
 from repro.core.ensemble import DegradedPrediction
 from repro.edge import EdgeAgent, EdgeSpool, EdgeUploader
 from repro.nn.compile import active_backend_name, using_backend
+from repro.scenarios import synthesize_trace
 from repro.serving import InferenceServer
 from repro.serving.registry import as_registry
-from repro.serving.replay import replay_concurrent_drives, synthesize_trace
+from repro.serving.replay import replay_concurrent_drives
 from repro.streaming.reliability import reliable_link
 
 

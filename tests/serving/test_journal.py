@@ -20,6 +20,7 @@ from repro.serving import (
     StoreAndForwardSink,
     VerdictJournal,
     VerdictRecord,
+    audit_ledger,
     replay_journal,
 )
 from repro.serving.journal import KIND_DEFERRED, frame_record
@@ -516,3 +517,63 @@ def test_sink_failing_downstream_is_a_fault_barrier(tmp_path):
     assert sink.pending == 1
     assert sink.pump(1.0) == 1  # retried on the next pump
     assert [r.sequence for r in sink.delivered] == [0]
+
+
+# -- the shared ledger audit ------------------------------------------------
+
+def delivered_ledger(tmp_path, count=3):
+    """A sink that delivered ``count`` records through a closed journal."""
+    path = str(tmp_path / "ledger.wal")
+    journal = VerdictJournal(path)
+    sink = StoreAndForwardSink(journal)
+    for sequence in range(count):
+        sink.offer(record(sequence))
+    sink.pump(0.0)
+    journal.close()
+    ids = {("drv-0", sequence) for sequence in range(count)}
+    return sink, path, ids
+
+
+def test_clean_ledger_has_no_violation(tmp_path):
+    sink, path, ids = delivered_ledger(tmp_path)
+    audit = audit_ledger(ids, ids, sink, path)
+    assert audit.violations == []
+    assert (audit.lost, audit.duplicates, audit.unjournaled,
+            audit.torn) == (set(), 0, set(), 0)
+    assert audit.journal.ids == ids
+
+
+def test_lost_id_is_its_one_violation(tmp_path):
+    sink, path, ids = delivered_ledger(tmp_path)
+    audit = audit_ledger(ids | {("drv-0", 9)}, ids, sink, path)
+    assert audit.lost == {("drv-0", 9)}
+    [violation] = audit.violations
+    assert "neither delivered nor deferred" in violation
+
+
+def test_duplicate_delivery_is_its_one_violation(tmp_path):
+    sink, path, ids = delivered_ledger(tmp_path)
+    sink.delivered.append(sink.delivered[0])
+    audit = audit_ledger(ids, ids, sink, path)
+    assert audit.duplicates == 1
+    [violation] = audit.violations
+    assert "duplicate downstream deliveries" in violation
+
+
+def test_id_missing_from_the_journal_is_its_one_violation(tmp_path):
+    sink, path, ids = delivered_ledger(tmp_path)
+    deferred = ("drv-1", 0)  # resolved, but never journaled
+    audit = audit_ledger(ids | {deferred}, ids | {deferred}, sink, path)
+    assert audit.unjournaled == {deferred}
+    [violation] = audit.violations
+    assert "missing from the journal replay" in violation
+
+
+def test_torn_journal_tail_is_its_one_violation(tmp_path):
+    sink, path, ids = delivered_ledger(tmp_path)
+    with open(path, "ab") as handle:
+        handle.write(frame_record(record(7))[:-3])
+    audit = audit_ledger(ids, ids, sink, path)
+    assert audit.torn == 1
+    [violation] = audit.violations
+    assert "torn journal frames" in violation
