@@ -34,7 +34,6 @@ from repro.scenarios.spec import (
     RoadProfile,
     ScenarioSpec,
     Timeline,
-    resolve_fleet,
 )
 from repro.scenarios.training import scenario_training_set
 
@@ -43,6 +42,6 @@ __all__ = [
     "EnvironmentTrack", "GpsRoute", "LightingPhase", "NoiseRegime",
     "RoadProfile", "ScenarioSpec", "Timeline", "compile_scenario",
     "extended_cnn_config", "extended_rnn_config", "project_probs_to_paper",
-    "resolve_fleet", "scenario_fault_schedule", "scenario_training_set",
-    "synthesize_trace", "train_extended_ensemble",
+    "scenario_fault_schedule", "scenario_training_set", "synthesize_trace",
+    "train_extended_ensemble",
 ]

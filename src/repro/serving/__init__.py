@@ -41,7 +41,6 @@ from repro.serving.checkpoint import (
 )
 from repro.serving.journal import (
     JournalReplay,
-    LedgerAudit,
     StoreAndForwardSink,
     VerdictJournal,
     VerdictRecord,
@@ -91,7 +90,7 @@ __all__ = [
     "InferenceServer", "ServerStats", "ServingVerdict",
     "ReplayReport", "DriverTrace", "replay_concurrent_drives",
     "VerdictJournal", "VerdictRecord", "JournalReplay", "replay_journal",
-    "StoreAndForwardSink", "LedgerAudit", "audit_ledger",
+    "StoreAndForwardSink", "audit_ledger",
     "SessionCheckpoint", "CheckpointStore", "save_checkpoint",
     "load_checkpoint",
     "ShardSupervisor", "ShardHandle", "HashRing", "MigrationEvent",

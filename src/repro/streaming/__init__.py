@@ -95,7 +95,6 @@ from repro.streaming.faults import (
     channel_blackhole,
     run_chaos_drive,
     standard_chaos_schedule,
-    switch,
 )
 
 __all__ = [
@@ -121,6 +120,6 @@ __all__ = [
     "PlacementCircuitBreaker", "BreakerState", "PrivacyEscalator",
     "PRIVACY_LADDER",
     "FaultEvent", "FaultSchedule", "FaultableSensor", "ChaosHarness",
-    "Lever", "channel_blackhole", "switch", "ChaosDriveReport", "WindowHealth", "run_chaos_drive",
-    "standard_chaos_schedule", "FAULT_KINDS",
+    "Lever", "channel_blackhole", "ChaosDriveReport", "WindowHealth",
+    "run_chaos_drive", "standard_chaos_schedule", "FAULT_KINDS",
 ]
