@@ -20,7 +20,6 @@ Quickstart::
 """
 
 from repro.core import (
-    AnalyticsEngine,
     BayesianNetworkCombiner,
     CnnConfig,
     DarNetEnsemble,
@@ -67,7 +66,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DarNetEnsemble", "DarNetSystem", "DriverFrameCNN", "ImuSequenceRNN",
-    "BayesianNetworkCombiner", "AnalyticsEngine", "CnnConfig", "RnnConfig",
+    "BayesianNetworkCombiner", "CnnConfig", "RnnConfig",
     "PrivacyLevel", "DistortionModule", "DenoisingCNN", "DistillationConfig",
     "train_privacy_suite", "DriveScript", "run_collection_drive",
     "DrivingBehavior", "ImuClass", "to_imu_class", "DrivingDataset",

@@ -40,7 +40,6 @@ from repro.core.distillation import (
     DistillationConfig,
     train_privacy_suite,
 )
-from repro.core.engine import AnalyticsEngine, ModalityModel, StreamModel
 from repro.core.adversary import (
     AdversaryResult,
     DriverIdentificationAdversary,
@@ -78,7 +77,7 @@ __all__ = [
     "ARCHITECTURES", "PrivacyLevel",
     "DistortionModule", "nearest_neighbor_resize", "restore_size",
     "distort_restore", "DenoisingCNN", "DistillationConfig",
-    "train_privacy_suite", "AnalyticsEngine", "ModalityModel", "StreamModel",
+    "train_privacy_suite",
     "DarNetSystem", "DriveScript", "TimestepClassification",
     "run_collection_drive", "dataset_from_drives", "AdversaryResult",
     "DriverIdentificationAdversary", "run_privacy_adversary_study",

@@ -58,11 +58,6 @@ from repro.datasets.alternative import (
     generate_alternative_dataset,
 )
 from repro.datasets.pretraining import SHAPE_CLASSES, generate_pretraining_dataset
-from repro.datasets.augment import (
-    AugmentConfig,
-    augment_batch,
-    augmented_copies,
-)
 from repro.datasets.windows import (
     sliding_windows,
     window_labels,
@@ -84,6 +79,5 @@ __all__ = [
     "generate_alternative_dataset", "class_names", "ALTERNATIVE_POSES",
     "NUM_ALTERNATIVE_CLASSES", "NUM_ALTERNATIVE_DRIVERS", "SHAPE_CLASSES",
     "generate_pretraining_dataset", "sliding_windows", "window_labels",
-    "windows_from_stream", "AugmentConfig", "augment_batch",
-    "augmented_copies",
+    "windows_from_stream",
 ]

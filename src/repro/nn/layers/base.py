@@ -5,7 +5,7 @@ its :class:`Parameter` objects and implements an explicit ``forward`` /
 ``backward`` pair.  There is no tape-based autograd — backward passes are
 hand-derived, which keeps the numpy implementation transparent and fast and
 lets the test suite verify every layer against numerical gradients
-(:mod:`repro.nn.gradcheck`).
+(``tests/gradcheck.py``).
 
 Conventions
 -----------

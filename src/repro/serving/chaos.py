@@ -80,17 +80,20 @@ def _levers(supervisor: ShardSupervisor) -> list[Lever]:
                    supervisor.journal.simulate_disk_full)]
 
 
-def standard_serving_schedule(duration: float = 20.0) -> FaultSchedule:
+def standard_serving_schedule(duration: float = 20.0,
+                              shards: int = 3) -> FaultSchedule:
     """The canonical serving-resilience scenario for one chaos run:
     a shard killed mid-drive, a second shard hanging later, the
     downstream sink blackholed across the failover, and the journal
     disk filling up inside the blackhole window — all four serving
-    fault kinds, overlapping on purpose."""
+    fault kinds, overlapping on purpose.  The hang hits ``shard-2``,
+    or ``shard-0`` in a 2-shard fleet: a shard every fleet has, other
+    than the killed one."""
     return FaultSchedule([
         FaultEvent(0.30 * duration, 0.34 * duration, "shard_kill",
                    "shard-1"),
         FaultEvent(0.55 * duration, 0.65 * duration, "executor_hang",
-                   "shard-2"),
+                   f"shard-{2 % shards}"),
         FaultEvent(0.40 * duration, 0.55 * duration, "sink_blackhole", "*"),
         FaultEvent(0.45 * duration, 0.55 * duration, "journal_disk_full",
                    "*"),
@@ -222,7 +225,7 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
     drivers, duration = scenario.drivers, scenario.duration
     grid_period, seed = scenario.grid_period, scenario.seed
     if schedule is None:
-        schedule = standard_serving_schedule(duration)
+        schedule = standard_serving_schedule(duration, shards)
     silent_after = 4.0 * grid_period
     backoff_base = 4.0 * grid_period
     backoff_cap = 16.0 * grid_period

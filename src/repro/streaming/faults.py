@@ -285,12 +285,16 @@ class ChaosHarness:
 
 def standard_chaos_schedule(duration: float = 30.0) -> FaultSchedule:
     """The canonical robustness scenario for a ``duration``-second drive:
-    a 3 s total blackout, the dashcam dying mid-drive, and a stuck
-    gyroscope — all three fault classes in one script."""
+    a 3 s total blackout from 8 s, the dashcam dying mid-drive, and a
+    stuck gyroscope from 5 s to 20 s — all three fault classes in one
+    script.  A drive shorter than 12 s scales the blackout and the stuck
+    gyroscope into its own length, so every fault starts inside it."""
+    scale = min(1.0, duration / 12.0)
     return FaultSchedule([
-        FaultEvent(8.0, 11.0, "blackout", "*"),
+        FaultEvent(8.0 * scale, 11.0 * scale, "blackout", "*"),
         FaultEvent(duration / 2.0, math.inf, "agent_silence", "dashcam"),
-        FaultEvent(5.0, 20.0, "sensor_stuck", "phone/gyroscope"),
+        FaultEvent(5.0 * scale, 20.0 * scale, "sensor_stuck",
+                   "phone/gyroscope"),
     ])
 
 

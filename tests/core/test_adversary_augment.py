@@ -1,4 +1,4 @@
-"""Privacy adversary study and image augmentation."""
+"""Privacy adversary study."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from repro.core import (
     run_privacy_adversary_study,
 )
 from repro.core.adversary import AdversaryResult
-from repro.datasets import AugmentConfig, augment_batch, augmented_copies
-from repro.exceptions import ConfigurationError, ShapeError
+from repro.exceptions import ConfigurationError
 
 
 FAST = CnnConfig(epochs=2, width=0.5)
@@ -67,64 +66,3 @@ def test_adversary_observes_distorted_frames(tiny_alternative_dataset):
     assert observed.shape == ds.images[:2].shape
     assert len(np.unique(observed[0, 0])) <= 16 * 16
 
-
-# -- augmentation ------------------------------------------------------------
-
-def test_augment_batch_preserves_shape_and_range(rng):
-    images = rng.random((5, 1, 16, 16)).astype(np.float32)
-    out = augment_batch(images, rng=rng)
-    assert out.shape == images.shape
-    assert out.min() >= 0.0 and out.max() <= 1.0
-    assert not np.allclose(out, images)
-
-
-def test_augment_batch_rejects_non_nchw(rng):
-    with pytest.raises(ShapeError):
-        augment_batch(rng.random((5, 16, 16)), rng=rng)
-
-
-def test_augment_identity_config(rng):
-    """Zero-strength augmentation is a no-op."""
-    images = rng.random((3, 1, 8, 8)).astype(np.float32)
-    config = AugmentConfig(brightness=0.0, contrast=0.0, max_shift=0,
-                           noise_std=0.0)
-    np.testing.assert_allclose(augment_batch(images, config=config, rng=rng),
-                               images, atol=1e-6)
-
-
-def test_augment_config_validation():
-    with pytest.raises(ConfigurationError):
-        AugmentConfig(max_shift=-1)
-    with pytest.raises(ConfigurationError):
-        AugmentConfig(noise_std=-0.1)
-
-
-def test_augmented_copies_expands_dataset(rng):
-    images = rng.random((4, 1, 8, 8)).astype(np.float32)
-    labels = np.array([0, 1, 2, 3])
-    out_images, out_labels = augmented_copies(images, labels, 2, rng=rng)
-    assert out_images.shape[0] == 12
-    np.testing.assert_array_equal(np.sort(np.unique(out_labels)),
-                                  [0, 1, 2, 3])
-    # Label multiset preserved: each label appears 3x.
-    assert all(np.sum(out_labels == v) == 3 for v in range(4))
-
-
-def test_augmented_copies_zero(rng):
-    images = rng.random((3, 1, 8, 8)).astype(np.float32)
-    labels = np.arange(3)
-    out_images, out_labels = augmented_copies(images, labels, 0, rng=rng)
-    assert out_images.shape[0] == 3
-
-
-def test_augmented_copies_validates(rng):
-    with pytest.raises(ConfigurationError):
-        augmented_copies(rng.random((2, 1, 4, 4)), np.arange(2), -1, rng=rng)
-
-
-def test_shift_replicates_edges(rng):
-    from repro.datasets.augment import _shift
-    image = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
-    shifted = _shift(image.copy(), 1, 0)
-    # Top row replicated after shifting down by one.
-    np.testing.assert_array_equal(shifted[0, 0], shifted[0, 1])

@@ -1,10 +1,9 @@
-"""DarNet ensemble, the SVM IMU pipeline, and the analytics engine."""
+"""DarNet ensemble and the SVM IMU pipeline."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    AnalyticsEngine,
     CnnConfig,
     DarNetEnsemble,
     RnnConfig,
@@ -91,80 +90,3 @@ def test_ensemble_probabilities_normalized(trained_ensembles, split_dataset):
 def test_cnn_shared_across_architectures(trained_ensembles):
     assert trained_ensembles["cnn+rnn"].cnn is trained_ensembles["cnn"].cnn
 
-
-# -- analytics engine ----------------------------------------------------------
-
-class _StaticModel:
-    """A deterministic stand-in modality model."""
-
-    def __init__(self, probs: np.ndarray) -> None:
-        self.probs = probs
-
-    def predict_proba(self, data):
-        return np.tile(self.probs, (len(data), 1))
-
-    def predict(self, data):
-        return np.full(len(data), int(np.argmax(self.probs)))
-
-
-def test_engine_single_stream_passthrough():
-    engine = AnalyticsEngine()
-    engine.register("frames", _StaticModel(np.array([0.1, 0.9])), 2)
-    out = engine.predict_proba({"frames": np.zeros((3, 1))})
-    np.testing.assert_allclose(out, [[0.1, 0.9]] * 3)
-
-
-def test_engine_two_streams_with_calibration(rng):
-    engine = AnalyticsEngine()
-    engine.register("frames", _StaticModel(np.array([0.2, 0.8])), 2)
-    engine.register("imu", _StaticModel(np.array([0.7, 0.3])), 2)
-    data = {"frames": np.zeros((50, 1)), "imu": np.zeros((50, 1))}
-    labels = rng.integers(0, 2, 50)
-    engine.calibrate(data, labels)
-    out = engine.predict_proba(data)
-    assert out.shape == (50, 2)
-    np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_engine_rejects_duplicate_stream():
-    engine = AnalyticsEngine()
-    engine.register("a", _StaticModel(np.ones(2) / 2), 2)
-    with pytest.raises(ConfigurationError):
-        engine.register("a", _StaticModel(np.ones(2) / 2), 2)
-
-
-def test_engine_limits_to_two_streams():
-    engine = AnalyticsEngine()
-    engine.register("a", _StaticModel(np.ones(2) / 2), 2)
-    engine.register("b", _StaticModel(np.ones(2) / 2), 2)
-    with pytest.raises(ConfigurationError):
-        engine.register("c", _StaticModel(np.ones(2) / 2), 2)
-
-
-def test_engine_unregister_allows_replacement():
-    engine = AnalyticsEngine()
-    engine.register("a", _StaticModel(np.ones(2) / 2), 2)
-    engine.unregister("a")
-    assert engine.streams == []
-    engine.register("a2", _StaticModel(np.ones(2) / 2), 2)
-    assert engine.streams == ["a2"]
-
-
-def test_engine_requires_calibration_for_two_streams():
-    engine = AnalyticsEngine()
-    engine.register("a", _StaticModel(np.ones(2) / 2), 2)
-    engine.register("b", _StaticModel(np.ones(2) / 2), 2)
-    with pytest.raises(NotFittedError):
-        engine.predict_proba({"a": np.zeros((1, 1)), "b": np.zeros((1, 1))})
-
-
-def test_engine_missing_stream_data():
-    engine = AnalyticsEngine()
-    engine.register("a", _StaticModel(np.ones(2) / 2), 2)
-    with pytest.raises(ConfigurationError):
-        engine.predict_proba({"other": np.zeros((1, 1))})
-
-
-def test_engine_no_streams():
-    with pytest.raises(ConfigurationError):
-        AnalyticsEngine().predict_proba({})

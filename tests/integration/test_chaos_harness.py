@@ -151,6 +151,24 @@ def test_unengaged_fault_is_a_streaming_drive_violation():
                for violation in report.violations)
 
 
+def test_standard_schedule_engages_in_a_4_s_drive():
+    """Every standard fault starts inside a drive as short as 4 s."""
+    report = run_chaos_drive(seed=0, duration=4.0)
+    assert report.unengaged == []
+    assert {kind for _, kind, _, state in report.harness_log
+            if state == "on"} == {"blackout", "agent_silence",
+                                  "sensor_stuck"}
+
+
+def test_standard_schedule_is_fixed_from_12_s():
+    for duration in (12.0, 30.0):
+        events = standard_chaos_schedule(duration).events
+        assert {(e.start, e.end, e.kind, e.target) for e in events} == {
+            (8.0, 11.0, "blackout", "*"),
+            (duration / 2.0, math.inf, "agent_silence", "dashcam"),
+            (5.0, 20.0, "sensor_stuck", "phone/gyroscope")}
+
+
 # -- the acceptance criteria -------------------------------------------------
 
 def test_imu_recovery_meets_sla(chaos_report):

@@ -89,6 +89,18 @@ def test_each_hang_logs_one_on_and_one_off(chaos_report):
     assert chaos_report.shard_hangs == 1
 
 
+def test_two_shard_drive_hangs_a_shard_it_has():
+    """The hang aims at a shard every fleet has, so a 2-shard drive
+    hangs one too, and recovers from it."""
+    report = run_serving_chaos(StubModel(), shards=2, drivers=2,
+                               duration=8.0, seed=0)
+    hangs = [(target, state) for _, kind, target, state
+             in report.harness_log if kind == "executor_hang"]
+    assert hangs == [("shard-0", "on"), ("shard-0", "off")]
+    assert report.shard_hangs == 1
+    assert report.violations == []
+
+
 def test_chaos_metrics_include_resilience_series(chaos_report):
     names = {entry["name"] for entry in chaos_report.metrics["metrics"]}
     assert {"serving_supervisor_restarts_total",

@@ -5,11 +5,11 @@ import pytest
 
 from repro.exceptions import ShapeError
 from repro.nn import Conv2D
-from repro.nn.gradcheck import (
+from repro.nn.layers.conv import col2im, conv_output_size, im2col
+from tests.gradcheck import (
     check_layer_input_gradient,
     check_layer_param_gradients,
 )
-from repro.nn.layers.conv import col2im, conv_output_size, im2col
 
 
 def naive_conv(x, weight, bias, stride, pad):

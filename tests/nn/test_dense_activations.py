@@ -8,11 +8,11 @@ from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import ShapeError
 from repro.nn import Dense, LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
-from repro.nn.gradcheck import (
+from repro.nn.layers.activations import log_softmax, softmax
+from tests.gradcheck import (
     check_layer_input_gradient,
     check_layer_param_gradients,
 )
-from repro.nn.layers.activations import log_softmax, softmax
 
 
 def test_dense_affine_identity(rng):

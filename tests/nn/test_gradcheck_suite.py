@@ -27,7 +27,7 @@ from repro.nn import (
     Softmax,
     Tanh,
 )
-from repro.nn.gradcheck import (
+from tests.gradcheck import (
     check_layer_input_gradient,
     check_layer_param_gradients,
     numerical_gradient,

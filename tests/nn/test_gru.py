@@ -6,7 +6,7 @@ import pytest
 from repro.exceptions import ShapeError
 from repro.nn import GRU, Adam, BidirectionalGRU, Dense, NeuralNetwork, \
     Sequential
-from repro.nn.gradcheck import (
+from tests.gradcheck import (
     check_layer_input_gradient,
     check_layer_param_gradients,
 )

@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from repro.exceptions import ConfigurationError, ReproError, ShapeError
 from repro.nn import SGD, Adam, HingeLoss, LearningRateSchedule, MSELoss, \
     SoftmaxCrossEntropy
-from repro.nn.gradcheck import check_loss_gradient
 from repro.nn.layers.base import Parameter
+from tests.gradcheck import check_loss_gradient
 
 
 # -- cross entropy ----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ShapeError
 from repro.nn import LSTM, BidirectionalLSTM, Sequential, Dense
-from repro.nn.gradcheck import (
+from tests.gradcheck import (
     check_layer_input_gradient,
     check_layer_param_gradients,
 )

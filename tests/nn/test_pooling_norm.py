@@ -17,7 +17,7 @@ from repro.nn import (
     Residual,
     Sequential,
 )
-from repro.nn.gradcheck import check_layer_input_gradient
+from tests.gradcheck import check_layer_input_gradient
 
 
 def test_maxpool_known_values():
