@@ -647,7 +647,7 @@ def _fig5(table2) -> tuple[dict, dict]:
     phone = [normal, talking, texting]
     print(f"\n{format_fig5(table2)}")
     return {
-        "confusion": {arch: np.round(matrix, 2).tolist()
+        "confusion": {arch: np.round(matrix, 4).tolist()
                       for arch, matrix in rates.items()},
         "cnn_texting": round(cnn[texting, texting], 4),
         "ensemble_texting": round(ensemble[texting, texting], 4),
