@@ -22,7 +22,6 @@ from repro.edge.spool import (
     KIND_VERDICT,
     EdgeSpool,
     SpoolRecord,
-    SpoolReplay,
     replay_spool,
 )
 from repro.edge.supervisor import SupervisedTask, TaskSupervisor
@@ -45,7 +44,6 @@ __all__ = [
     "ProbeResult",
     "ReleaseManifest",
     "SpoolRecord",
-    "SpoolReplay",
     "SupervisedTask",
     "TaskSupervisor",
     "WINDOW_STEPS",

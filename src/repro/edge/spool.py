@@ -10,10 +10,11 @@ log's.  The spool adds its policy:
 
 * every verdict (and every evidence clip) is framed to disk *before* an
   upload is attempted;
-* controller acks are **ack frames** in the same log.  Recovery rebuilds
-  the ack state from the frames it replays, and only unacknowledged
-  records re-enter the upload queue (the controller dedups by record id,
-  so a torn ack frame costs a duplicate upload, never a lost record);
+* controller acks are **ack frames** in the same log, in the ack codec
+  :mod:`repro.wal` keeps for both logs.  Recovery rebuilds the ack state
+  from the frames it replays, and only unacknowledged records re-enter
+  the upload queue (the controller dedups by record id, so a torn ack
+  frame costs a duplicate upload, never a lost record);
 * :meth:`EdgeSpool.compact` rewrites the log as one **watermark frame**
   — every sequence up to the contiguous ack watermark, plus the
   out-of-order acks above it — followed by the pending records, so later
@@ -33,8 +34,7 @@ under a fresh spool path and agent id.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
@@ -42,13 +42,9 @@ from repro import wal
 from repro.exceptions import SpoolError
 from repro.obs.metrics import MetricsRegistry, get_registry
 
-#: Frame magics.  The CRC covers only the payload, so the three magics
-#: differ in at least three bits: no single flipped bit turns a frame of
-#: one kind into a valid frame of another.
-MAGIC = b"ES"            #: a :class:`SpoolRecord`, canonical JSON
-ACK_MAGIC = b"AK"        #: acknowledged sequences, u64 LE each
-WATERMARK_MAGIC = b"WM"  #: the ack watermark, then the acks above it
-_SEQUENCE = struct.Struct("<Q")
+#: The frame magic of a :class:`SpoolRecord`, canonical JSON.  Acks are
+#: the log's ``AK`` and ``WM`` frames (:mod:`repro.wal`).
+MAGIC = b"ES"
 
 #: Record kinds the spool carries.
 KIND_VERDICT = "verdict"
@@ -97,101 +93,16 @@ class SpoolRecord(wal.JsonRecord):
         return wal.JsonRecord.to_payload(self)
 
 
-class AckState:
-    """Acknowledged sequences: a contiguous watermark (every sequence up
-    to ``through`` is acked; sequences are 1-based) plus the out-of-order
-    acks above it, which fold into the watermark as the gap below them
-    closes."""
-
-    def __init__(self) -> None:
-        self.through = 0
-        self.extra: set[int] = set()
-
-    def __contains__(self, sequence: int) -> bool:
-        return sequence <= self.through or sequence in self.extra
-
-    def add(self, sequence: int) -> None:
-        if sequence not in self:
-            self.extra.add(sequence)
-            self._fold()
-
-    def raise_through(self, through: int) -> None:
-        """Mark every sequence up to ``through`` acknowledged."""
-        if through > self.through:
-            self.through = through
-            self.extra = {s for s in self.extra if s > through}
-            self._fold()
-
-    def _fold(self) -> None:
-        while self.through + 1 in self.extra:
-            self.through += 1
-            self.extra.remove(self.through)
-
-    @property
-    def high(self) -> int:
-        """The highest acknowledged sequence (0 when none)."""
-        return max(self.through, max(self.extra, default=0))
-
-
 def frame_spool_record(record: SpoolRecord) -> bytes:
     """One on-disk frame: header + payload, CRC over the payload."""
     return wal.frame(MAGIC, record.to_payload())
 
 
-def frame_ack(sequence: int) -> bytes:
-    """The frame recording that the controller acked ``sequence``."""
-    return wal.frame(ACK_MAGIC, _SEQUENCE.pack(sequence))
-
-
-def frame_watermark(acks: AckState) -> bytes:
-    """One frame carrying the whole ack state: the watermark first."""
-    marks = [acks.through, *sorted(acks.extra)]
-    return wal.frame(WATERMARK_MAGIC, struct.pack(f"<{len(marks)}Q", *marks))
-
-
-def _sequences(payload: bytes) -> tuple[int, ...]:
-    if not payload or len(payload) % _SEQUENCE.size:
-        raise ValueError("ack payload is not a whole number of sequences")
-    return struct.unpack(f"<{len(payload) // _SEQUENCE.size}Q", payload)
-
-
-@dataclass
-class SpoolReplay(wal.Replay):
-    """What :func:`replay_spool` recovered from a spool file."""
-
-    acks: AckState = field(default_factory=AckState)
-
-    @property
-    def pending(self) -> list[SpoolRecord]:
-        """The replayed records no replayed ack covers, in log order."""
-        return [r for r in self.records if r.sequence not in self.acks]
-
-    @property
-    def last_sequence(self) -> int:
-        """The highest sequence the log shows spooled or acked."""
-        return max(self.acks.high,
-                   max((r.sequence for r in self.records), default=0))
-
-
-def replay_spool(path: str) -> SpoolReplay:
+def replay_spool(path: str) -> wal.Replay:
     """Crash-safe replay (:func:`repro.wal.scan`): record frames are
     deduplicated by record id, and ack and watermark frames accumulate
-    into :attr:`SpoolReplay.acks`."""
-    replay = SpoolReplay()
-
-    def ack(payload: bytes) -> None:
-        for sequence in _sequences(payload):
-            replay.acks.add(sequence)
-
-    def watermark(payload: bytes) -> None:
-        through, *above = _sequences(payload)
-        replay.acks.raise_through(through)
-        for sequence in above:
-            replay.acks.add(sequence)
-
-    return wal.scan(path, replay, {MAGIC: SpoolRecord.from_payload,
-                                   ACK_MAGIC: ack,
-                                   WATERMARK_MAGIC: watermark})
+    into :attr:`~repro.wal.Replay.acks`."""
+    return wal.scan(path, MAGIC, SpoolRecord.from_payload)
 
 
 class EdgeSpool:
@@ -214,12 +125,14 @@ class EdgeSpool:
         self.path = self._log.path
         self.torn_truncated = replay.torn
         self.acked = 0
+        self._acks = replay.acks
         #: Highest sequence ever spooled or acked; seed new sequences
         #: past this so a restart never reuses one.
-        self.last_sequence = replay.last_sequence
+        self.last_sequence = max(self._acks.high, max(
+            (r.sequence for r in replay.records), default=0))
         #: Unacknowledged records by sequence, in append order.
-        self._pending = {r.sequence: r for r in replay.pending}
-        self._acks = replay.acks
+        self._pending = {r.sequence: r for r in replay.records
+                         if r.sequence not in self._acks}
         registry = registry or get_registry()
         self._obs_depth = registry.gauge(
             "edge_spool_depth", "Spooled records awaiting upload ack")
@@ -279,7 +192,7 @@ class EdgeSpool:
         if sequence in self._acks:
             return
         try:
-            self._log.write(frame_ack(sequence), record=False)
+            self._log.write(wal.frame_ack(sequence), record=False)
         except OSError:
             pass  # a lost ack frame only costs a deduplicated re-upload
         self._acks.add(sequence)
@@ -306,7 +219,7 @@ class EdgeSpool:
         spool has spent.
         """
         self.sync()
-        self._log.rewrite([frame_watermark(self._acks),
+        self._log.rewrite([wal.frame_watermark(self._acks),
                            *map(frame_spool_record, self._pending.values())])
         self._publish()
 

@@ -3,8 +3,6 @@
 from repro.experiments.config import (
     DEFAULT,
     FULL,
-    PAPER_DATA_REDUCTION,
-    PAPER_FIG5_NOTES,
     PAPER_IMU_ONLY,
     PAPER_TABLE2,
     PAPER_TABLE3,
@@ -36,8 +34,8 @@ from repro.experiments.reporting import (
 
 __all__ = [
     "ExperimentScale", "SMOKE", "DEFAULT", "FULL", "get_scale",
-    "PAPER_TABLE2", "PAPER_TABLE3", "PAPER_IMU_ONLY", "PAPER_FIG5_NOTES",
-    "PAPER_DATA_REDUCTION", "run_table1", "run_table2", "run_table3",
+    "PAPER_TABLE2", "PAPER_TABLE3", "PAPER_IMU_ONLY",
+    "run_table1", "run_table2", "run_table3",
     "run_fig2", "run_fig3", "run_fig4", "Table1Result", "Table2Result",
     "Table3Result", "Fig2Result", "Fig3Result", "Fig4Result",
     "format_table1", "format_table2", "format_table3", "format_fig5",

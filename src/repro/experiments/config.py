@@ -73,13 +73,3 @@ PAPER_IMU_ONLY = {"rnn": 0.9744, "svm": 0.9537}
 #: Table 3 — CNN and dCNN Top-1 on the 18-class alternative dataset.
 PAPER_TABLE3 = {"cnn": 0.7887, "dCNN-L": 0.8000, "dCNN-M": 0.7778,
                 "dCNN-H": 0.6313}
-
-#: §5.2 — per-class notes used as shape checks for Figure 5.
-PAPER_FIG5_NOTES = {
-    "cnn_texting": 0.36,     # "classification accuracy of 36.0% for texting"
-    "ensemble_texting": 0.87,  # "whereas the CNN+RNN produces ... 87.0%"
-    "ensemble_reaching_as_talking": 0.05,  # "~5%" talking misclassification
-}
-
-#: §4.3 — data-reduction factors at the paper's 300x300 resolution.
-PAPER_DATA_REDUCTION = {"low": 9.0, "medium": 25.0, "high": 144.0}

@@ -8,8 +8,7 @@ retraining.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,7 +102,6 @@ class Table2Result:
     train: DrivingDataset
     evaluation: DrivingDataset
     ensembles: dict[str, DarNetEnsemble]
-    train_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def run_table2(scale: ExperimentScale = DEFAULT, *, seed: int = 0,
@@ -122,12 +120,9 @@ def run_table2(scale: ExperimentScale = DEFAULT, *, seed: int = 0,
     cnn_config = CnnConfig(epochs=scale.cnn_epochs, width=scale.cnn_width)
     rnn_config = RnnConfig(epochs=scale.rnn_epochs)
     cnn = DriverFrameCNN(cnn_config, rng=np.random.default_rng(seed + 1))
-    timings: dict[str, float] = {}
-    start = time.perf_counter()
     if pretrain_cnn:
         cnn.pretrain(verbose=verbose)
     cnn.fit(train.images, train.labels, verbose=verbose)
-    timings["cnn_training"] = time.perf_counter() - start
     results: dict[str, EnsembleResult] = {}
     ensembles: dict[str, DarNetEnsemble] = {}
     imu_only: dict[str, float] = {}
@@ -135,9 +130,7 @@ def run_table2(scale: ExperimentScale = DEFAULT, *, seed: int = 0,
         ensemble = DarNetEnsemble(
             architecture, cnn=cnn, rnn_config=rnn_config,
             rng=np.random.default_rng(seed + 2))
-        start = time.perf_counter()
         ensemble.fit(train, train_cnn=False, verbose=verbose)
-        timings[architecture] = time.perf_counter() - start
         outcome = ensemble.evaluate(evaluation)
         results[architecture] = outcome
         ensembles[architecture] = ensemble
@@ -145,8 +138,7 @@ def run_table2(scale: ExperimentScale = DEFAULT, *, seed: int = 0,
             key = "rnn" if architecture == "cnn+rnn" else "svm"
             imu_only[key] = outcome.imu_top1
     return Table2Result(results=results, imu_only=imu_only, train=train,
-                        evaluation=evaluation, ensembles=ensembles,
-                        train_seconds=timings)
+                        evaluation=evaluation, ensembles=ensembles)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +205,13 @@ class Fig3Result:
     full_edge: int
     bytes_per_frame: dict[str, int]          # level name -> payload bytes
     reduction: dict[str, float]              # level name -> measured factor
-    paper_reduction: dict[str, float]        # at the paper's 300px divisors
     transfer_seconds: dict[str, float]       # per frame on the sim channel
 
 
 def run_fig3(*, full_edge: int = 64, bandwidth_bps: float = 2_000_000.0,
              seed: int = 0) -> Fig3Result:
     """Measure per-level transmission cost through the simulated channel."""
-    from repro.core.privacy import DistortionModule, PAPER_EDGE_DIVISORS
+    from repro.core.privacy import DistortionModule
     from repro.streaming.records import FrameRecord, payload_size
     from repro.streaming.transport import Channel
 
@@ -228,7 +219,6 @@ def run_fig3(*, full_edge: int = 64, bandwidth_bps: float = 2_000_000.0,
     frame = rng.random((full_edge, full_edge), dtype=np.float64).astype("float32")
     bytes_per_frame: dict[str, int] = {}
     reduction: dict[str, float] = {}
-    paper_reduction: dict[str, float] = {}
     transfer: dict[str, float] = {}
     levels: list[PrivacyLevel | None] = [None, *PrivacyLevel]
     full_bytes = None
@@ -247,11 +237,8 @@ def run_fig3(*, full_edge: int = 64, bandwidth_bps: float = 2_000_000.0,
         transfer[name] = channel.transit_delay(size)
         if level is not None:
             reduction[name] = full_bytes / size
-            divisor = PAPER_EDGE_DIVISORS[level]
-            paper_reduction[name] = float(divisor * divisor)
     return Fig3Result(full_edge=full_edge, bytes_per_frame=bytes_per_frame,
-                      reduction=reduction, paper_reduction=paper_reduction,
-                      transfer_seconds=transfer)
+                      reduction=reduction, transfer_seconds=transfer)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +289,6 @@ class Fig2Result:
     worst_clock_error: float
     mean_latency: float
     delivery_ratio: float
-    wall_seconds: float
 
 
 def run_fig2(*, seed: int = 0, segment_seconds: float = 10.0,
@@ -314,9 +300,7 @@ def run_fig2(*, seed: int = 0, segment_seconds: float = 10.0,
          DrivingBehavior.TEXTING],
         segment_seconds=segment_seconds)
     config = SessionConfig(channel_drop=drop_probability)
-    start = time.perf_counter()
     result = run_collection_drive(script, config=config, rng=rng)
-    wall = time.perf_counter() - start
     controller = result.controller
     latencies = []
     sent = 0
@@ -334,5 +318,4 @@ def run_fig2(*, seed: int = 0, segment_seconds: float = 10.0,
         worst_clock_error=max(controller.sync_report().values()),
         mean_latency=float(np.mean(latencies)) if latencies else 0.0,
         delivery_ratio=delivered / max(sent, 1),
-        wall_seconds=wall,
     )

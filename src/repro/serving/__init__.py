@@ -40,7 +40,6 @@ from repro.serving.checkpoint import (
     save_checkpoint,
 )
 from repro.serving.journal import (
-    JournalReplay,
     StoreAndForwardSink,
     VerdictJournal,
     VerdictRecord,
@@ -89,7 +88,7 @@ __all__ = [
     "AdmissionController", "AdmissionDecision", "AdmissionStats",
     "InferenceServer", "ServerStats", "ServingVerdict",
     "ReplayReport", "DriverTrace", "replay_concurrent_drives",
-    "VerdictJournal", "VerdictRecord", "JournalReplay", "replay_journal",
+    "VerdictJournal", "VerdictRecord", "replay_journal",
     "StoreAndForwardSink", "audit_ledger",
     "SessionCheckpoint", "CheckpointStore", "save_checkpoint",
     "load_checkpoint",

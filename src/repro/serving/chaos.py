@@ -17,13 +17,16 @@ fault kind and target:
   store-and-forward must buffer and drain on reconnect without
   double-delivering;
 * ``journal_disk_full`` — the journal's disk refuses writes; appends
-  must degrade to the in-memory overflow and drain back afterwards.
+  must degrade to the in-memory overflow and drain back afterwards;
+* ``sink_restart`` — the sink dies without closing its journal; a new
+  sink over the reopened journal must deliver what the old one still
+  owed, and nothing it had delivered.
 
 :func:`run_serving_chaos` replays scripted drives through the supervised
 fleet under such a schedule and audits the one invariant everything else
 serves: **every admitted (driver, window) id is accounted for** — it
-reaches the downstream sink exactly once as a verdict, or it is
-journaled as deferred.  Zero silent loss, no duplicates, no torn journal
+reaches the downstream sink exactly once, as a verdict or as a
+deferred record.  Zero silent loss, no duplicates, no torn journal
 frames (the ledger audit shared with the edge drive,
 :func:`~repro.serving.journal.audit_ledger`), bounded recovery time.
 Violations are collected (not raised) so the CLI can print the audit and
@@ -41,7 +44,11 @@ from repro.exceptions import ConfigurationError
 from repro.scenarios.compiler import compile_scenario
 from repro.scenarios.faults import scenario_fault_schedule
 from repro.scenarios.spec import ScenarioSpec, resolve_fleet
-from repro.serving.journal import audit_ledger
+from repro.serving.journal import (
+    StoreAndForwardSink,
+    VerdictJournal,
+    audit_ledger,
+)
 from repro.serving.supervisor import SHARD_UP, ShardHandle, ShardSupervisor
 from repro.streaming.faults import (
     ChaosHarness,
@@ -70,31 +77,44 @@ def _shard_levers(handle: ShardHandle) -> list[Lever]:
 
 def _levers(supervisor: ShardSupervisor) -> list[Lever]:
     """Every shard's levers, then the fleet-wide (``"*"``) sink blackhole
-    and journal disk-full switches."""
-    sink = supervisor.sink
+    and journal disk-full switches and the sink restart trigger.  The
+    switches act on whichever sink and journal are live when they move."""
+    def restart(event: FaultEvent) -> None:
+        # The journal is never closed; the downstream outlives the sink.
+        old = supervisor.sink
+        supervisor.journal = VerdictJournal(old.journal.path,
+                                            registry=supervisor.metrics)
+        supervisor.sink = StoreAndForwardSink(
+            supervisor.journal, old.downstream, registry=supervisor.metrics)
+        supervisor.sink.delivered = old.delivered
+        supervisor.sink.blackholed = old.blackholed
+
     return [*(lever for name in supervisor.shard_names
               for lever in _shard_levers(supervisor.shard(name))),
             switch("sink_blackhole", "*",
-                   lambda on: setattr(sink, "blackholed", on)),
+                   lambda on: setattr(supervisor.sink, "blackholed", on)),
             switch("journal_disk_full", "*",
-                   supervisor.journal.simulate_disk_full)]
+                   lambda on: supervisor.journal.simulate_disk_full(on)),
+            Lever("sink_restart", "*", restart, once=True)]
 
 
 def standard_serving_schedule(duration: float = 20.0,
                               shards: int = 3) -> FaultSchedule:
     """The canonical serving-resilience scenario for one chaos run:
     a shard killed mid-drive, a second shard hanging later, the
-    downstream sink blackholed across the failover, and the journal
-    disk filling up inside the blackhole window — all four serving
-    fault kinds, overlapping on purpose.  The hang hits ``shard-2``,
-    or ``shard-0`` in a 2-shard fleet: a shard every fleet has, other
-    than the killed one."""
+    downstream sink blackholed across the failover and restarted in
+    that window before the journal disk fills (records a full disk
+    parks in memory die with the process by design) — all five serving
+    fault kinds, overlapping on purpose.  The hang hits ``shard-2``, or
+    ``shard-0`` in a 2-shard fleet: a shard every fleet has, other than
+    the killed one."""
     return FaultSchedule([
         FaultEvent(0.30 * duration, 0.34 * duration, "shard_kill",
                    "shard-1"),
         FaultEvent(0.55 * duration, 0.65 * duration, "executor_hang",
                    f"shard-{2 % shards}"),
         FaultEvent(0.40 * duration, 0.55 * duration, "sink_blackhole", "*"),
+        FaultEvent(0.42 * duration, 0.45 * duration, "sink_restart", "*"),
         FaultEvent(0.45 * duration, 0.55 * duration, "journal_disk_full",
                    "*"),
     ])
@@ -116,6 +136,7 @@ class ServingChaosReport:
     downstream_duplicates: int
     shard_kills: int
     shard_hangs: int
+    sink_restarts: int
     shard_deaths: int
     restarts: int
     migrations: int
@@ -149,7 +170,8 @@ class ServingChaosReport:
             f"Serving chaos — {self.drivers} drivers on {self.shards} "
             f"shards, {self.duration:.0f} s drive (seed {self.seed})",
             f"  faults     kills {self.shard_kills}   hangs "
-            f"{self.shard_hangs}   deaths detected {self.shard_deaths}",
+            f"{self.shard_hangs}   sink restarts {self.sink_restarts}   "
+            f"deaths detected {self.shard_deaths}",
             f"  recovery   restarts {self.restarts}   migrations "
             f"{self.migrations}   retries {self.retries}   "
             f"times [{recoveries}] (bound {self.recovery_bound:.2f}s)",
@@ -190,8 +212,8 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
 
     Replays ``drivers`` scripted drives (the same synthetic traces the
     serving replay uses) through a :class:`ShardSupervisor` while
-    ``schedule`` kills shards, hangs executors, blackholes the sink and
-    fills the journal disk — then settles until every restart and
+    ``schedule`` kills shards, hangs executors, blackholes and restarts
+    the sink and fills the journal disk — then settles until every restart and
     retransmission has landed and audits the zero-loss ledger.
 
     Args:
@@ -333,6 +355,7 @@ def run_serving_chaos(model, *, shards: int = 3, drivers: int = 6,
             downstream_duplicates=audit.duplicates,
             shard_kills=harness.count("shard_kill"),
             shard_hangs=harness.count("executor_hang"),
+            sink_restarts=harness.count("sink_restart"),
             shard_deaths=stats["deaths"],
             restarts=stats["restarts"],
             migrations=stats["migrations"],

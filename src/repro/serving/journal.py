@@ -11,20 +11,27 @@ frame and the batched fsync are the log's.  The journal adds its policy:
 * every delivered verdict (and every *deferred* request the degradation
   ladder could not answer immediately) is appended before it counts as
   handled; :func:`replay_journal` dedups by ``(session_id, sequence)``,
-  the (driver, window) identity of a verdict, since a retried dispatch
-  journals twice;
+  the (driver, window) identity of a verdict, since a record rewritten
+  after a failed barrier can land twice;
 * when the disk itself fails (ENOSPC), appends degrade to an in-memory
   overflow list that every later append retries, in order, before
   writing its own record, so a full disk weakens durability without
   dropping records; :meth:`VerdictJournal.close` drains it and raises
-  if records are still stuck in memory.
+  if records are still stuck in memory;
+* deliveries are recorded as the edge spool records uploads, in the ack
+  codec of :mod:`repro.wal`: the sink delivers in journal order, so one
+  ``WM`` watermark frame carrying how many distinct records it has
+  delivered follows every pump that delivered something.
 
 :class:`StoreAndForwardSink` builds the delivery half on top: verdicts
 are journaled first, then forwarded to the downstream sink; when the
 sink is unreachable they accumulate as journal-backed pending work and
 drain in order on reconnect, deduplicated so a reconnect never
-double-alerts.  :func:`audit_ledger` is the zero-loss check the serving
-and edge chaos drives both run over a sink and its journal.
+double-alerts.  A sink built over a reopened journal resumes from it,
+so a crash between a delivery and its watermark costs a redelivery of
+that pump's records, never a loss.  :func:`audit_ledger` is the
+zero-loss check the serving and edge chaos drives both run over a sink
+and its journal.
 """
 
 from __future__ import annotations
@@ -76,17 +83,13 @@ def frame_record(record: VerdictRecord) -> bytes:
     return wal.frame(MAGIC, record.to_payload())
 
 
-class JournalReplay(wal.Replay):
-    """What :func:`replay_journal` recovered from a journal file."""
-
-
-def replay_journal(path: str) -> JournalReplay:
+def replay_journal(path: str) -> wal.Replay:
     """Crash-safe replay (:func:`repro.wal.scan`): every verified frame,
     the first append of each (driver, window) id kept — append order is
-    delivery order, later appends are retries — and a torn tail counted
-    in ``torn``, never surfaced as data."""
-    return wal.scan(path, JournalReplay(),
-                    {MAGIC: VerdictRecord.from_payload})
+    delivery order, later appends are rewrites — the delivered count in
+    ``acks.through``, and a torn tail counted in ``torn``, never
+    surfaced as data."""
+    return wal.scan(path, MAGIC, VerdictRecord.from_payload)
 
 
 @dataclass
@@ -95,9 +98,10 @@ class LedgerAudit:
 
     lost: set
     duplicates: int
+    undelivered: set
     unjournaled: set
     torn: int
-    journal: JournalReplay
+    journal: wal.Replay
     violations: list[str]
 
 
@@ -107,26 +111,30 @@ def audit_ledger(expected, resolved, sink: StoreAndForwardSink,
 
     Every ``expected`` (driver, window) id must be ``resolved`` —
     delivered, or journaled as deferred where the tier defers; ``sink``
-    must have delivered each record id at most once; every resolved id
-    must replay from the journal at ``journal_path``, which the caller
-    has synced or closed; and that replay must end on no torn frame.
+    must have delivered each resolved id downstream, and each record id
+    at most once; every resolved id must replay from the journal at
+    ``journal_path``, which the caller has synced or closed; and that
+    replay must end on no torn frame.
     """
     resolved = set(resolved)
     lost = set(expected) - resolved
-    delivered = sink.delivered
-    duplicates = len(delivered) - len({r.record_id for r in delivered})
+    delivered = {r.record_id for r in sink.delivered}
+    duplicates = len(sink.delivered) - len(delivered)
+    undelivered = resolved - delivered
     journal = replay_journal(journal_path)
     unjournaled = resolved - journal.ids
     violations = [message for count, message in (
         (len(lost), f"{len(lost)} ids neither delivered nor deferred "
                     f"(e.g. {sorted(lost)[:3]})"),
         (duplicates, f"{duplicates} duplicate downstream deliveries"),
+        (len(undelivered), f"{len(undelivered)} resolved ids never reached "
+                           "the downstream"),
         (len(unjournaled), f"{len(unjournaled)} resolved ids missing from "
                            "the journal replay"),
         (journal.torn, f"{journal.torn} torn journal frames after a clean "
                        "close")) if count]
-    return LedgerAudit(lost, duplicates, unjournaled, journal.torn, journal,
-                       violations)
+    return LedgerAudit(lost, duplicates, undelivered, unjournaled,
+                       journal.torn, journal, violations)
 
 
 class VerdictJournal:
@@ -152,6 +160,9 @@ class VerdictJournal:
             path, replay_journal, fsync_every=fsync_every, error=JournalError)
         self.path = self._log.path
         self.torn_truncated = recovered.torn
+        self._acks = recovered.acks  # ``through``: records delivered
+        self._recovered = (recovered.ids,
+                           recovered.records[self._acks.through:])
         #: Set by :meth:`simulate_disk_full`: appends park in memory
         #: without touching the disk until it is cleared.
         self._disk_full = False
@@ -228,6 +239,20 @@ class VerdictJournal:
         if self._log.sync_due:
             self.sync()
 
+    def mark_delivered(self, through: int) -> None:
+        """Record that the first ``through`` distinct records are delivered:
+        a watermark frame, outside the fsync batch like the spool's acks.
+        It never lands ahead of a record it covers: while records wait in
+        the memory overflow it is skipped, and the next call carries it."""
+        if through <= self._acks.through or self.disk_full:
+            return
+        self._acks.raise_through(through)
+        try:
+            self._log.write(wal.frame_watermark(self._acks), record=False)
+        except OSError:
+            pass  # a lost watermark only costs a redelivery
+        self._obs_bytes.set(self.size_bytes)
+
     def sync(self) -> None:
         """Flush buffered frames and issue the disk barrier.
 
@@ -256,7 +281,14 @@ class VerdictJournal:
         """Publish the undelivered-record depth (set by the owning sink)."""
         self._obs_depth.set(depth)
 
-    def replay(self) -> JournalReplay:
+    def resume(self) -> tuple[set, list[VerdictRecord]]:
+        """What the opening scan recovered, handed once to the sink built
+        over this journal: every record id, and the records after those
+        the last watermark counts delivered, in journal order."""
+        recovered, self._recovered = self._recovered, (set(), [])
+        return recovered
+
+    def replay(self) -> wal.Replay:
         """Re-read this journal from disk (syncs buffered frames first)."""
         self.sync()
         return replay_journal(self.path)
@@ -288,7 +320,8 @@ class StoreAndForwardSink:
     retries on every supervisor step and drains the backlog in order on
     reconnect.  Delivery is deduplicated by (driver, window) id, so a
     window retried through both a failed shard and its adoptee reaches
-    the downstream exactly once.
+    the downstream exactly once.  A sink built over a reopened journal
+    resumes from its last watermark (:meth:`VerdictJournal.resume`).
 
     Args:
         journal: the durable WAL backing the pending queue.
@@ -304,9 +337,10 @@ class StoreAndForwardSink:
         self.downstream = downstream
         self.blackholed = False
         self.delivered: list[VerdictRecord] = []
-        self._pending: deque[VerdictRecord] = deque()
-        self._pending_ids: set[tuple[str, int]] = set()
-        self._delivered_ids: set[tuple[str, int]] = set()
+        # Every id journaled; the ones not pending are delivered, and
+        # they are the journal's first distinct records.
+        self._ids, pending = journal.resume()
+        self._pending = deque(pending)
         self.duplicates_suppressed = 0
         self.delivery_failures = 0
         registry = registry or get_registry()
@@ -323,38 +357,26 @@ class StoreAndForwardSink:
         return len(self._pending)
 
     def offer(self, record: VerdictRecord) -> None:
-        """Journal a record and queue it for downstream delivery."""
-        if record.record_id in self._delivered_ids:
+        """Journal a record and queue it for downstream delivery; an id
+        already journaled, delivered or pending, is suppressed."""
+        if record.record_id in self._ids:
             self.duplicates_suppressed += 1
             return
         self.journal.append(record)
-        if record.record_id in self._pending_ids:
-            self.duplicates_suppressed += 1
-            return
+        self._ids.add(record.record_id)
         self._pending.append(record)
-        self._pending_ids.add(record.record_id)
         self.journal.set_depth(len(self._pending))
 
     def pump(self, now: float) -> int:
         """Attempt delivery of everything pending; returns records sent."""
         del now  # deliveries are attempted every pump; no wall timers
         sent = 0
-        while self._pending:
-            record = self._pending[0]
-            if record.record_id in self._delivered_ids:
-                self._pending.popleft()
-                self._pending_ids.discard(record.record_id)
-                self.duplicates_suppressed += 1
-                continue
-            if not self._deliver(record):
-                break
-            self._pending.popleft()
-            self._pending_ids.discard(record.record_id)
-            self._delivered_ids.add(record.record_id)
-            self.delivered.append(record)
+        while self._pending and self._deliver(self._pending[0]):
+            self.delivered.append(self._pending.popleft())
             self._obs_delivered.inc()
             sent += 1
         self.journal.set_depth(len(self._pending))
+        self.journal.mark_delivered(len(self._ids) - len(self._pending))
         return sent
 
     def _deliver(self, record: VerdictRecord) -> bool:

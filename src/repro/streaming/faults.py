@@ -55,7 +55,7 @@ from repro.streaming.transport import Channel
 FAULT_KINDS = ("blackout", "agent_silence", "sensor_stuck",
                "sensor_dropout", "sensor_spike",
                "shard_kill", "executor_hang", "sink_blackhole",
-               "journal_disk_full",
+               "journal_disk_full", "sink_restart",
                "uplink_blackhole", "ota_corrupt_artifact",
                "ota_download_kill",
                "camera_covered", "camera_blackout")

@@ -9,8 +9,11 @@ module is the one owner of the file: :func:`frame` builds a frame,
 :func:`scan` reads a log back verifying every frame, :meth:`Log.open`
 recovers a log (cutting a torn tail) and returns the append handle, and
 :class:`JsonRecord` is the canonical-JSON codec of the records.
-:mod:`repro.serving.journal` and :mod:`repro.edge.spool` each add a
-record schema and a delivery policy.
+Both logs record deliveries in its ack codec: :class:`AckState`, the
+``AK`` frame (one acked sequence) and the ``WM`` frame (a whole ack
+state, watermark first), which :func:`scan` folds into its
+:class:`Replay`.  :mod:`repro.serving.journal` and
+:mod:`repro.edge.spool` each add a record schema and a delivery policy.
 """
 
 from __future__ import annotations
@@ -21,11 +24,18 @@ import struct
 import zlib
 from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import Any, Callable, Iterable, Mapping, TypeVar
+from typing import Any, Callable, Iterable
 
 from repro.exceptions import ConfigurationError
 
 HEADER = struct.Struct("<2sII")
+#: The delivery frames both logs share.  The CRC covers only the payload,
+#: so these magics and each log's record magic differ pairwise in at
+#: least three bits: no single flipped bit turns a frame of one kind into
+#: a valid frame of another.
+ACK_MAGIC = b"AK"        #: acknowledged sequences, u64 LE each
+WATERMARK_MAGIC = b"WM"  #: the ack watermark, then the acks above it
+_SEQUENCE = struct.Struct("<Q")
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 _COERCE = {"int": int, "float": float, "bool": bool}
 
@@ -66,6 +76,67 @@ class JsonRecord:
                       for name, coerce in _schema(cls) if name in data})
 
 
+class AckState:
+    """Acknowledged sequences: a contiguous watermark (every sequence up
+    to ``through`` is acked; sequences are 1-based) plus the out-of-order
+    acks above it, which fold into the watermark as the gap below them
+    closes."""
+
+    def __init__(self) -> None:
+        self.through = 0
+        self.extra: set[int] = set()
+
+    def __contains__(self, sequence: int) -> bool:
+        return sequence <= self.through or sequence in self.extra
+
+    def add(self, sequence: int) -> None:
+        if sequence not in self:
+            self.extra.add(sequence)
+            self._fold()
+
+    def raise_through(self, through: int) -> None:
+        """Mark every sequence up to ``through`` acknowledged."""
+        if through > self.through:
+            self.through = through
+            self.extra = {s for s in self.extra if s > through}
+            self._fold()
+
+    def _fold(self) -> None:
+        while self.through + 1 in self.extra:
+            self.through += 1
+            self.extra.remove(self.through)
+
+    @property
+    def high(self) -> int:
+        """The highest acknowledged sequence (0 when none)."""
+        return max(self.through, max(self.extra, default=0))
+
+
+def frame_ack(sequence: int) -> bytes:
+    """The frame recording that ``sequence`` was acknowledged."""
+    return frame(ACK_MAGIC, _SEQUENCE.pack(sequence))
+
+
+def frame_watermark(acks: AckState) -> bytes:
+    """One frame carrying the whole ack state: the watermark first."""
+    marks = [acks.through, *sorted(acks.extra)]
+    return frame(WATERMARK_MAGIC, struct.pack(f"<{len(marks)}Q", *marks))
+
+
+def _fold_ack_frame(acks: AckState, magic: bytes, payload: bytes) -> None:
+    """Fold an ``AK`` or ``WM`` frame into ``acks``; any other frame, or
+    a payload not made of whole sequences, raises ``ValueError`` first."""
+    if not payload or len(payload) % _SEQUENCE.size:
+        raise ValueError("ack payload is not a whole number of sequences")
+    marks = struct.unpack(f"<{len(payload) // _SEQUENCE.size}Q", payload)
+    if magic == WATERMARK_MAGIC:
+        acks.raise_through(marks[0])
+    elif magic != ACK_MAGIC:
+        raise ValueError(f"unknown frame magic {magic!r}")
+    for sequence in marks:
+        acks.add(sequence)
+
+
 @dataclass
 class Replay:
     """What :func:`scan` recovered from a log.
@@ -74,12 +145,14 @@ class Replay:
     order; ``duplicates`` counts the later ones.  ``torn`` is 1 when the
     scan stopped at a bad frame, and ``bytes_read`` is the end of the
     last verified frame: the point recovery truncates the file back to.
+    ``acks`` holds every ``AK`` and ``WM`` frame before that point.
     """
 
     records: list = field(default_factory=list)
     duplicates: int = 0
     torn: int = 0
     bytes_read: int = 0
+    acks: AckState = field(default_factory=AckState)
 
     @property
     def ids(self) -> set:
@@ -87,21 +160,17 @@ class Replay:
         return {record.record_id for record in self.records}
 
 
-R = TypeVar("R", bound=Replay)
+def scan(path: str, magic: bytes, decode: Callable[[bytes], Any]) -> Replay:
+    """Read the log at ``path`` back, verifying every frame.
 
-
-def scan(path: str, replay: R,
-         decoders: Mapping[bytes, Callable[[bytes], Any]]) -> R:
-    """Read the log at ``path`` into ``replay``, verifying every frame.
-
-    ``decoders`` maps each magic the log may hold to a payload decoder,
-    which returns the record to keep or ``None`` for a frame it folded
-    into ``replay`` itself.  The scan stops at the first frame with an
-    unknown magic, a short header or payload, a failed CRC, or a payload
-    its decoder rejects (``ValueError``, ``KeyError`` or ``TypeError``),
-    so a torn frame is never surfaced as data.  A missing file is an
-    empty log.
+    ``decode`` turns the payload of a ``magic`` frame into a record; the
+    ``AK`` and ``WM`` frames fold into :attr:`Replay.acks`.  The scan
+    stops at the first frame with an unknown magic, a short header or
+    payload, a failed CRC, or a payload that does not decode
+    (``ValueError``, ``KeyError`` or ``TypeError``), so a torn frame is
+    never surfaced as data.  A missing file is an empty log.
     """
+    replay = Replay()
     if not os.path.exists(path):
         return replay
     with open(path, "rb") as handle:
@@ -111,16 +180,17 @@ def scan(path: str, replay: R,
     while offset < len(blob):
         start = offset + HEADER.size
         try:
-            magic, length, crc = HEADER.unpack_from(blob, offset)
+            kind, length, crc = HEADER.unpack_from(blob, offset)
             payload = blob[start:start + length]
             if len(payload) < length or zlib.crc32(payload) != crc:
                 raise ValueError("short or corrupt frame")
-            record = decoders[magic](payload)
+            record = (decode(payload) if kind == magic
+                      else _fold_ack_frame(replay.acks, kind, payload))
         except (struct.error, ValueError, KeyError, TypeError):
             replay.torn += 1
             break
         offset = replay.bytes_read = start + length
-        if record is None:
+        if record is None:  # an ack frame, folded
             continue
         if record.record_id in seen:
             replay.duplicates += 1
@@ -147,8 +217,8 @@ class Log:
         self._since_sync = 0
 
     @classmethod
-    def open(cls, path: str, replay: Callable[[str], R], *,
-             fsync_every: int, error: type[Exception]) -> tuple[Log, R]:
+    def open(cls, path: str, replay: Callable[[str], Replay], *,
+             fsync_every: int, error: type[Exception]) -> tuple[Log, Replay]:
         """Recover the log at ``path`` and open it for append.
 
         ``replay`` scans the file; a torn tail it reports is truncated

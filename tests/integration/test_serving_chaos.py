@@ -144,4 +144,4 @@ def test_bad_drive_shape_raises_before_any_temp_journal(tmp_path,
 def test_standard_schedule_covers_all_serving_fault_kinds():
     kinds = {event.kind for event in standard_serving_schedule(20.0).events}
     assert kinds == {"shard_kill", "executor_hang", "sink_blackhole",
-                     "journal_disk_full"}
+                     "journal_disk_full", "sink_restart"}

@@ -1,5 +1,6 @@
 """Verdict journal: framing, crash-safe replay, torn-tail truncation,
-fsync batching, disk-full degradation, and store-and-forward delivery."""
+fsync batching, disk-full degradation, and store-and-forward delivery
+that resumes from the journal after a crash."""
 
 import errno
 import itertools
@@ -79,34 +80,6 @@ def test_replay_dedups_by_driver_window_id(tmp_path):
     assert [r.sequence for r in replay.records] == [1, 2]
     assert replay.duplicates == 1
     assert replay.ids == {("drv-0", 1), ("drv-0", 2)}
-
-
-def test_replay_drops_torn_tail(tmp_path):
-    path = str(tmp_path / "j.wal")
-    journal = VerdictJournal(path)
-    for i in range(3):
-        journal.append(record(i))
-    journal.close()
-    frame = frame_record(record(3))
-    with open(path, "ab") as handle:
-        handle.write(frame[:len(frame) // 2])  # SIGKILL mid-write
-    replay = replay_journal(path)
-    assert [r.sequence for r in replay.records] == [0, 1, 2]
-    assert replay.torn == 1
-
-
-def test_replay_stops_at_corrupt_crc(tmp_path):
-    path = str(tmp_path / "j.wal")
-    journal = VerdictJournal(path)
-    journal.append(record(0))
-    journal.close()
-    blob = bytearray(open(path, "rb").read())
-    blob[-1] ^= 0xFF  # flip one payload byte; CRC must catch it
-    with open(path, "wb") as handle:
-        handle.write(blob)
-    replay = replay_journal(path)
-    assert replay.records == []
-    assert replay.torn == 1
 
 
 def test_replay_of_missing_file_is_empty(tmp_path):
@@ -403,45 +376,102 @@ def _dedup(records):
     return kept
 
 
+def _ledger(frames):
+    """The distinct records ``frames`` hold, in log order, and how many of
+    them the last watermark among the frames counts delivered."""
+    records = _dedup(value for _, kind, value in frames if kind == "record")
+    through = max((value for _, kind, value in frames if kind == "mark"),
+                  default=0)
+    return records, through
+
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("offer"), st.integers(0, 4)),
+    st.tuples(st.just("rewrite"), st.integers(1, 4)),
+    st.tuples(st.just("pump"), st.integers(0, 3)),
+    st.just(("crash", 0))), max_size=30)
+
+
 @settings(max_examples=60, deadline=None)
-@given(appends=st.lists(st.integers(0, 4), max_size=25),
-       fsync_every=st.integers(1, 8),
+@given(ops=_OPS, fsync_every=st.integers(1, 8),
        cut=st.integers(0, 1 << 20), flip=st.integers(0, 1 << 23))
 def test_every_cut_and_bit_flip_recovers_the_intact_prefix(
-        appends, fsync_every, cut, flip):
+        ops, fsync_every, cut, flip):
     registry = MetricsRegistry()
     fresh = itertools.count()
-    with tempfile.TemporaryDirectory() as workdir:
-        path = os.path.join(workdir, "j.wal")
+    budget = [0]
+
+    def downstream(item):
+        if budget[0] <= 0:
+            raise ConnectionError("downstream refuses")
+        budget[0] -= 1
+
+    def open_sink(path):
         journal = VerdictJournal(path, fsync_every=fsync_every,
                                  registry=registry)
-        frames = []     # (end offset, record), one per append
-        for back in appends:
-            # 0 journals a new window; k > 0 re-appends the record k
-            # appends back, as a retried dispatch does.
-            item = (frames[-back][1] if 0 < back <= len(frames)
-                    else record(next(fresh), session_id=f"drv-{back}"))
-            journal.append(item)
-            frames.append((journal.size_bytes, item))
-        del journal  # crash: no close()
+        return StoreAndForwardSink(journal, downstream, registry=registry)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "j.wal")
+        sink = open_sink(path)
+        offered = []
+        frames = []  # (end offset, "record" | "mark", record | through)
+        for op, arg in ops:
+            records, through = _ledger(frames)
+            if op == "offer":
+                # 0 offers a new window; k > 0 re-offers the record
+                # offered k offers back, as a retried dispatch does.
+                item = (offered[-arg] if 0 < arg <= len(offered)
+                        else record(next(fresh), session_id=f"drv-{arg}"))
+                offered.append(item)
+                sink.offer(item)
+                if item not in records:
+                    frames.append((sink.journal.size_bytes, "record", item))
+            elif op == "rewrite":
+                # The journal writes a record it holds again, as it does
+                # after a failed barrier; replay keeps the first frame.
+                if arg <= len(offered):
+                    sink.journal.append(offered[-arg])
+                    frames.append((sink.journal.size_bytes, "record",
+                                   offered[-arg]))
+            elif op == "pump":
+                # The downstream takes ``arg`` records, then refuses.
+                budget[0] = arg
+                sent = min(arg, len(records) - through)
+                assert sink.pump(0.0) == sent
+                if sent:
+                    frames.append((sink.journal.size_bytes, "mark",
+                                   through + sent))
+            else:
+                del sink  # crash: no close()
+                sink = open_sink(path)
+            records, through = _ledger(frames)
+            assert sink.journal.size_bytes == (frames[-1][0] if frames
+                                               else 0)
+            assert sink.pending == len(records) - through
+        del sink
         with open(path, "rb") as handle:
             blob = handle.read()
-        boundaries = [0] + [end for end, _ in frames]
+        boundaries = [0] + [end for end, _, _ in frames]
         assert boundaries[-1] == len(blob)
 
         copy = os.path.join(workdir, "copy.wal")
         for data, whole in damaged_copies(blob, boundaries, cut, flip):
             with open(copy, "wb") as handle:
                 handle.write(data)
-            survivors = _dedup(item for _, item in frames[:whole])
+            survivors, through = _ledger(frames[:whole])
             replay = replay_journal(copy)
             assert replay.records == survivors
             assert replay.torn == (len(data) > boundaries[whole])
-            reopened = VerdictJournal(copy, fsync_every=fsync_every,
-                                      registry=registry)
-            assert reopened.torn_truncated == replay.torn
+            reopened = open_sink(copy)
+            assert reopened.journal.torn_truncated == replay.torn
+            # A sink reopened on the copy owes exactly the intact
+            # prefix's undelivered records.
+            budget[0] = len(survivors)
+            reopened.pump(0.0)
+            assert reopened.delivered == survivors[through:]
             extra = record(next(fresh), session_id="drv-new")
-            reopened.append(extra)
+            reopened.journal.append(extra)
             del reopened
             recovered = replay_journal(copy)
             assert recovered.torn == 0
@@ -502,6 +532,73 @@ def test_sink_dedups_while_pending(tmp_path):
     assert len(sink.delivered) == 1
 
 
+def test_reopened_sink_delivers_what_the_crashed_one_owed(tmp_path):
+    path = str(tmp_path / "j.wal")
+    sink = StoreAndForwardSink(VerdictJournal(path, fsync_every=1))
+    sink.blackholed = True
+    for i in range(5):
+        sink.offer(record(i))
+        sink.pump(float(i))
+    del sink  # crash: no close()
+    reopened = StoreAndForwardSink(VerdictJournal(path, fsync_every=1))
+    assert reopened.pending == 5
+    assert reopened.pump(5.0) == 5
+    assert [r.sequence for r in reopened.delivered] == [0, 1, 2, 3, 4]
+
+
+def test_reopened_sink_never_redelivers_what_the_crashed_one_did(tmp_path):
+    path = str(tmp_path / "j.wal")
+    downstream: list[VerdictRecord] = []
+    sink = StoreAndForwardSink(VerdictJournal(path), downstream.append)
+    for i in range(3):
+        sink.offer(record(i))
+    sink.pump(0.0)
+    sink.blackholed = True
+    sink.offer(record(3))
+    sink.pump(1.0)
+    del sink  # crash: no close()
+    reopened = StoreAndForwardSink(VerdictJournal(path), downstream.append)
+    reopened.offer(record(1))  # a retry of a window delivered pre-crash
+    assert reopened.duplicates_suppressed == 1
+    assert reopened.pump(2.0) == 1
+    assert [r.sequence for r in downstream] == [0, 1, 2, 3]
+
+
+def test_watermark_waits_for_records_parked_in_memory(tmp_path):
+    """A watermark never lands ahead of a record it covers: while the
+    disk is full it is skipped, and the next pump that can write
+    carries it."""
+    path = str(tmp_path / "j.wal")
+    journal = VerdictJournal(path)
+    sink = StoreAndForwardSink(journal)
+    sink.offer(record(0))
+    sink.pump(0.0)
+    journal.simulate_disk_full(True)
+    sink.offer(record(1))  # parked in memory, delivered all the same
+    assert sink.pump(1.0) == 1
+    assert replay_journal(path).acks.through == 1
+    journal.simulate_disk_full(False)  # record 1 reaches the disk
+    assert sink.pump(2.0) == 0
+    replay = replay_journal(path)
+    assert [r.sequence for r in replay.records] == [0, 1]
+    assert replay.acks.through == 2
+
+
+def test_watermarks_do_not_count_toward_the_fsync_batch(tmp_path,
+                                                        monkeypatch):
+    syncs = []
+    monkeypatch.setattr(os, "fsync", syncs.append)
+    journal = VerdictJournal(str(tmp_path / "j.wal"), fsync_every=3)
+    sink = StoreAndForwardSink(journal)
+    for i in range(2):
+        sink.offer(record(i))
+        sink.pump(float(i))  # one record frame and one watermark each
+    assert syncs == []
+    sink.offer(record(2))
+    assert len(syncs) == 1
+    journal.close()
+
+
 def test_sink_failing_downstream_is_a_fault_barrier(tmp_path):
     journal = VerdictJournal(str(tmp_path / "j.wal"))
     calls = []
@@ -538,8 +635,8 @@ def test_clean_ledger_has_no_violation(tmp_path):
     sink, path, ids = delivered_ledger(tmp_path)
     audit = audit_ledger(ids, ids, sink, path)
     assert audit.violations == []
-    assert (audit.lost, audit.duplicates, audit.unjournaled,
-            audit.torn) == (set(), 0, set(), 0)
+    assert (audit.lost, audit.duplicates, audit.undelivered,
+            audit.unjournaled, audit.torn) == (set(), 0, set(), set(), 0)
     assert audit.journal.ids == ids
 
 
@@ -560,9 +657,19 @@ def test_duplicate_delivery_is_its_one_violation(tmp_path):
     assert "duplicate downstream deliveries" in violation
 
 
+def test_undelivered_id_is_its_one_violation(tmp_path):
+    sink, path, ids = delivered_ledger(tmp_path)
+    owed = sink.delivered.pop().record_id  # journaled, never delivered
+    audit = audit_ledger(ids, ids, sink, path)
+    assert audit.undelivered == {owed}
+    [violation] = audit.violations
+    assert "never reached the downstream" in violation
+
+
 def test_id_missing_from_the_journal_is_its_one_violation(tmp_path):
     sink, path, ids = delivered_ledger(tmp_path)
-    deferred = ("drv-1", 0)  # resolved, but never journaled
+    deferred = ("drv-1", 0)  # resolved and delivered, but never journaled
+    sink.delivered.append(record(0, session_id="drv-1"))
     audit = audit_ledger(ids | {deferred}, ids | {deferred}, sink, path)
     assert audit.unjournaled == {deferred}
     [violation] = audit.violations

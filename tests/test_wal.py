@@ -10,11 +10,8 @@ import pytest
 
 from repro.edge.spool import (
     KIND_CLIP,
-    AckState,
     SpoolRecord,
-    frame_ack,
     frame_spool_record,
-    frame_watermark,
     replay_spool,
 )
 from repro.serving.journal import (
@@ -23,6 +20,7 @@ from repro.serving.journal import (
     frame_record,
     replay_journal,
 )
+from repro.wal import AckState, frame_ack, frame_watermark
 
 
 def _acks(*sequences):
